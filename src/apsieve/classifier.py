@@ -774,12 +774,7 @@ def check_type(
             trace.append(_oracle_check(space, psi.report, oracle_k_max))
         return Verdict(
             space, VerdictKind.ELIMINATED, reason="PsiCondition",
-            certificate={
-                "window": list(psi.window),
-                "witness": psi.witness,
-                "report": psi.report.as_dict(),
-            },
-            trace=trace,
+            certificate=psi.as_dict(), trace=trace,
         )
 
     if quasi_regular(space):
@@ -820,11 +815,7 @@ def _classify_candidate(ctx: PrimeContext, halves: tuple[int, ...], cap: int) ->
     if psi is not None:
         return "psi_certified", Verdict(
             space, VerdictKind.ELIMINATED, reason="PsiCondition",
-            certificate={
-                "window": list(psi.window),
-                "witness": psi.witness,
-                "report": psi.report.as_dict(),
-            },
+            certificate=psi.as_dict(),
         )
     if halves in PSI_CLAIMED:
         # claimed eliminated, but the standard window family does not

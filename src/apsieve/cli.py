@@ -26,7 +26,14 @@ from .classifier import (
 )
 from .finiteness import monomial_count, rank_bound
 from .padic import PrimeContext, digit_sum, nu, val, val_factorial
-from .psimod import SpaceType, condition_report, enumerate_classes, main_lemma_val, theorem_1_1_test
+from .psimod import (
+    SpaceType,
+    check_monomial_budget,
+    condition_report,
+    enumerate_classes,
+    main_lemma_val,
+    theorem_1_1_test,
+)
 from .steenrod import (
     PowerWord,
     adem_expand,
@@ -114,7 +121,9 @@ def _base_document(target: str, config: dict) -> dict:
 def _parse_type(ctx_p: int, text: str) -> SpaceType:
     try:
         halves = tuple(int(part) for part in text.split(","))
-        return SpaceType(PrimeContext(ctx_p), halves)
+        space = SpaceType(PrimeContext(ctx_p), halves)
+        check_monomial_budget(space)
+        return space
     except ValueError as exc:
         raise click.UsageError(f"bad type {text!r}: {exc}") from exc
 
@@ -389,6 +398,8 @@ def cmd_reproduce(click_ctx, p: int, cap: int, workers: int, fmt: str,
         raise click.UsageError(f"unknown target {target!r}; choose from {_REPRODUCE_TARGETS}")
     if cap < p:
         raise click.UsageError("cap must be at least p")
+    if p != 3 and (target == "thm1.2" or target.startswith("prop")):
+        raise click.UsageError(f"target {target} is specific to p = 3")
     try:
         ctx = PrimeContext(p)
     except ValueError as exc:

@@ -22,11 +22,13 @@ eliminated.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import gcd
 
+from .finiteness import monomial_count
 from .padic import PrimeContext, Valuation, _nu_int, _pair_min_int
 
 __all__ = [
@@ -43,7 +45,16 @@ __all__ = [
     "main_lemma_val",
     "theorem_1_1_test",
     "monomial_degree_multiplicities",
+    "check_monomial_budget",
+    "MONOMIAL_BUDGET",
 ]
+
+MONOMIAL_BUDGET = 100_000
+"""Most monomials ``comb(rank + p, p) - 1`` that
+:func:`monomial_degree_multiplicities` enumerates; larger inputs are refused
+before any work.  The enumeration visits every monomial, so its cost grows
+as ``comb(rank + p, p)``: the largest modules the pipeline meets (p = 5,
+rank 3) have 55 monomials, and p = 31 at rank 20 would have about 7.7e13."""
 
 
 @dataclass(frozen=True)
@@ -78,11 +89,26 @@ class SpaceType:
         return "(" + ",".join(str(m) for m in self.halves) + ")"
 
 
+def check_monomial_budget(space: SpaceType) -> None:
+    """Raise ``ValueError`` when the truncated algebra on the generators of
+    ``space`` has more than :data:`MONOMIAL_BUDGET` monomials."""
+    count = monomial_count(space.p, space.rank)
+    if count > MONOMIAL_BUDGET:
+        raise ValueError(
+            f"{count} monomials at p = {space.p}, rank {space.rank} exceed the "
+            f"enumeration budget of {MONOMIAL_BUDGET}"
+        )
+
+
 @lru_cache(maxsize=None)
 def monomial_degree_multiplicities(space: SpaceType) -> tuple[tuple[int, int], ...]:
     """All monomial degrees of the height-(p+1) truncated algebra on the
     generators of ``space``: distinct sums of 1..p half-degrees, with the
-    number of monomials realising each sum."""
+    number of monomials realising each sum.
+
+    Refuses, before enumerating, an algebra over the monomial budget (see
+    :func:`check_monomial_budget`)."""
+    check_monomial_budget(space)
     gens = space.halves
     counts: dict[int, int] = {}
     for length in range(1, space.p + 1):
@@ -198,17 +224,27 @@ def condition_report(module: PsiModule) -> ConditionReport:
 
 @dataclass(frozen=True)
 class PsiCertificate:
-    """A certified elimination: the window, its full report, the witness."""
+    """A certified elimination: the window, its full report, the witness,
+    and how many windows the search scored to find it."""
 
     window: tuple[int, int]
     report: ConditionReport
     witness: int
+    windows_tried: int
 
     def replay(self) -> bool:
         """Re-derive the certificate from the window alone."""
         module = enumerate_classes(self.report.module.space, self.window)
         rep = condition_report(module)
         return rep.holds_everywhere and self.witness in module.witnesses
+
+    def as_dict(self) -> dict:
+        return {
+            "window": list(self.window),
+            "witness": self.witness,
+            "windows_tried": self.windows_tried,
+            "report": self.report.as_dict(),
+        }
 
 
 def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertificate | None:
@@ -227,12 +263,25 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     window may under-approximate the true class set of a realising space,
     so a certificate from it is not trusted.
 
+    Every window is a contiguous run ``t_a .. t_{b-1}`` of the full
+    module's sorted class degrees, so the search scores windows from one
+    table of row prefix sums ``S[i][j] = sum_{k < j, k != i}
+    pair_min(t_i, t_k)``, built once per call: class ``i`` of window
+    ``[a, b)`` has valuation sum ``S[i][b] - S[i][a]``.  A window with at
+    least two classes that passes these filters counts towards
+    ``windows_tried``.  Only the first window whose every class passes is
+    rebuilt with :func:`enumerate_classes` and :func:`condition_report`,
+    which produce the certificate's report; if that report does not hold
+    everywhere the scoring is wrong and ``RuntimeError`` is raised, so an
+    unverified window is never returned.
+
     Returns the first certifying window, or ``None`` (inconclusive; never
     a proof of survival).
     """
     if policy not in ("standard", "exhaustive"):
         raise ValueError(f"unknown window policy {policy!r}")
     degrees = [t for t, _ in monomial_degree_multiplicities(space)]
+    ctx = space.ctx
     p = space.p
     tops = {p * m for m in space.halves}
     if policy == "exhaustive":
@@ -240,7 +289,13 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     tops = sorted(tops, reverse=True)
     bottom_window = (degrees[0], p * space.halves[0])
     bottom_gated = theorem_1_1_test(space).passed
-    for d_lo in degrees:
+    pair = [[0] * len(degrees) for _ in degrees]
+    for i, t_i in enumerate(degrees):
+        for k in range(i + 1, len(degrees)):
+            pair[i][k] = pair[k][i] = _pair_min_int(ctx, t_i, degrees[k])
+    prefix = [[0, *accumulate(row)] for row in pair]
+    tried = 0
+    for a, d_lo in enumerate(degrees):
         for d_hi in tops:
             if d_hi < d_lo:
                 continue
@@ -248,13 +303,20 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
                 continue
             if bottom_gated and (d_lo, d_hi) == bottom_window:
                 continue
-            module = enumerate_classes(space, (d_lo, d_hi))
-            if len(module.classes) < 2:
+            b = bisect_right(degrees, d_hi)
+            if b - a < 2:
                 continue
-            report = condition_report(module)
-            if report.holds_everywhere:
+            tried += 1
+            if all(prefix[i][b] - prefix[i][a] < degrees[i] for i in range(a, b)):
+                report = condition_report(enumerate_classes(space, (d_lo, d_hi)))
+                if not report.holds_everywhere:
+                    raise RuntimeError(
+                        f"internal error: window scoring certified {(d_lo, d_hi)} for "
+                        f"{space} but its condition report does not hold everywhere"
+                    )
                 return PsiCertificate(
-                    window=(d_lo, d_hi), report=report, witness=module.witnesses[0]
+                    window=(d_lo, d_hi), report=report,
+                    witness=report.module.witnesses[0], windows_tried=tried,
                 )
     return None
 

@@ -24,6 +24,20 @@ def test_usage_errors_exit_2():
     assert run("reproduce", "nosuch").exit_code == 2
 
 
+def test_p3_only_targets_refuse_other_primes():
+    for target in ("thm1.2", "prop1", "prop2", "prop3", "prop4"):
+        res = run("reproduce", "--p", "5", target)
+        assert res.exit_code == 2, (target, res.output)
+        assert "specific to p = 3" in res.output
+
+
+def test_check_type_refuses_oversized_enumeration():
+    halves = ",".join(str(m) for m in range(2, 22))
+    res = run("check-type", "--p", "31", halves)
+    assert res.exit_code == 2
+    assert "budget" in res.output
+
+
 def test_adem_command():
     res = run("adem", "--p", "3", "3", "7")
     assert res.exit_code == 0
@@ -49,6 +63,7 @@ def test_check_type_json():
     entry = json.loads(res.output)["types"][0]
     assert entry["reason"] == "PsiCondition"
     assert entry["certificate"]["window"] == [21, 81]
+    assert entry["certificate"]["windows_tried"] == 7
 
 
 def test_check_type_markdown():

@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,8 +12,13 @@ from apsieve import (
     enumerate_classes,
     gcd_oracle,
     main_lemma_val,
+    monomial_count,
     theorem_1_1_test,
+    wilkerson_filter_1,
+    wilkerson_filter_2,
 )
+from apsieve import psimod
+from apsieve.psimod import MONOMIAL_BUDGET, monomial_degree_multiplicities
 
 
 def test_space_type_validation(ctx3):
@@ -151,8 +158,15 @@ def test_gcd_test_examples(ctx3):
 def test_eliminate_by_psi_pinned_windows(ctx3):
     cert = eliminate_by_psi(SpaceType(ctx3, (4, 8, 12)))
     assert cert is not None and cert.window == (4, 12) and cert.witness == 4
+    # [4, 36] and [4, 24] fail before [4, 12] certifies
+    assert cert.windows_tried == 3
+    assert eliminate_by_psi(SpaceType(ctx3, (4, 8, 12)), "exhaustive").windows_tried == 7
     cert2 = eliminate_by_psi(SpaceType(ctx3, (2, 21, 27)))
     assert cert2 is not None and cert2.window == (21, 81)
+    # two failing cuts for each of D_lo = 2, 4, 6; the bottom window [2, 6] is gated
+    assert cert2.windows_tried == 7
+    assert cert2.as_dict()["windows_tried"] == 7
+    assert cert2.as_dict()["report"] == cert2.report.as_dict()
     assert eliminate_by_psi(SpaceType(ctx3, (2, 4, 6))) is None
     cert3 = eliminate_by_psi(SpaceType(ctx3, (18, 24, 26)))
     assert cert3 is not None and cert3.replay()
@@ -175,3 +189,88 @@ def test_eliminate_by_psi_239_is_inconclusive(ctx3):
     by_degree = {c.degree: c for c in report.per_class}
     assert by_degree[9].valuation_sum == 9
     assert not by_degree[9].passes
+
+
+def _reference_search(space, policy):
+    """The window search with a full condition report for every window:
+    same window order and filters as ``eliminate_by_psi``, no shared table."""
+    degrees = [t for t, _ in monomial_degree_multiplicities(space)]
+    p = space.p
+    tops = {p * m for m in space.halves}
+    if policy == "exhaustive":
+        tops.update(degrees)
+    tops = sorted(tops, reverse=True)
+    bottom_window = (degrees[0], p * space.halves[0])
+    bottom_gated = theorem_1_1_test(space).passed
+    for d_lo in degrees:
+        for d_hi in tops:
+            if d_hi < d_lo:
+                continue
+            if not any(m >= d_lo and p * m <= d_hi for m in space.halves):
+                continue
+            if bottom_gated and (d_lo, d_hi) == bottom_window:
+                continue
+            module = enumerate_classes(space, (d_lo, d_hi))
+            if len(module.classes) < 2:
+                continue
+            report = condition_report(module)
+            if report.holds_everywhere:
+                return (d_lo, d_hi), module.witnesses[0], report.as_dict()
+    return None
+
+
+def _passes_filters(space):
+    return (
+        theorem_1_1_test(space).passed
+        and wilkerson_filter_1(space).passed
+        and wilkerson_filter_2(space).passed
+    )
+
+
+def _assert_matches_reference(spaces):
+    for space in spaces:
+        for policy in ("standard", "exhaustive"):
+            cert = eliminate_by_psi(space, policy)
+            got = None if cert is None else (cert.window, cert.witness, cert.report.as_dict())
+            assert got == _reference_search(space, policy), (space.halves, policy)
+
+
+def test_window_search_matches_reference_p3(ctx3):
+    spaces = [SpaceType(ctx3, h) for h in combinations_with_replacement(range(2, 31), 2)]
+    for halves in combinations_with_replacement(range(2, 31), 3):
+        space = SpaceType(ctx3, halves)
+        if halves[-1] <= 12 or _passes_filters(space):
+            spaces.append(space)
+    _assert_matches_reference(spaces)
+
+
+def test_window_search_matches_reference_p5(ctx5):
+    spaces = (SpaceType(ctx5, h) for h in combinations_with_replacement(range(2, 21), 3))
+    _assert_matches_reference(s for s in spaces if _passes_filters(s))
+
+
+def test_window_search_internal_error_guard(ctx3, monkeypatch):
+    # a certificate is only returned once its own condition report holds
+    real = psimod.condition_report
+    monkeypatch.setattr(
+        psimod, "condition_report",
+        lambda module: dataclasses.replace(real(module), holds_everywhere=False),
+    )
+    with pytest.raises(RuntimeError, match="internal error"):
+        eliminate_by_psi(SpaceType(ctx3, (4, 8, 12)))
+
+
+def test_monomial_budget(ctx5, monkeypatch):
+    # refused before enumerating: p = 31, rank 20 would have ~7.7e13 monomials
+    assert monomial_count(31, 20) > MONOMIAL_BUDGET
+    with pytest.raises(ValueError, match="budget"):
+        monomial_degree_multiplicities(SpaceType(PrimeContext(31), tuple(range(2, 22))))
+    # the budget is inclusive; p = 5, rank 3 (55 monomials) is the largest
+    # input the pipeline meets
+    uncached = monomial_degree_multiplicities.__wrapped__
+    space = SpaceType(ctx5, (2, 3, 4))
+    monkeypatch.setattr(psimod, "MONOMIAL_BUDGET", 55)
+    assert sum(mult for _, mult in uncached(space)) == 55
+    monkeypatch.setattr(psimod, "MONOMIAL_BUDGET", 54)
+    with pytest.raises(ValueError, match="budget"):
+        uncached(space)
