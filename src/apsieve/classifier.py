@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations
 
-from .padic import PrimeContext, Valuation, val
+from .padic import PrimeContext, val
 from .psimod import (
     SpaceType,
     condition_report,
@@ -213,10 +213,6 @@ class Lemma43Result:
     detail: str
 
 
-def _e(ctx: PrimeContext, n: int) -> Valuation:
-    return val(ctx, n)
-
-
 def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = None) -> Lemma43Result:
     """Inequality rules L1-L4 for case 1 triples at p=3.
 
@@ -235,8 +231,8 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
         raise ValueError("these inequalities are specific to p = 3")
     if subcase not in (1, 2, 3, 4):
         raise ValueError("subcase must be 1..4")
-    en = _e(ctx, n)
-    em = _e(ctx, m)
+    en = val(ctx, n)
+    em = val(ctx, m)
 
     if subcase in (1, 2):
         applicable = r == 2 and m > n > 6
@@ -257,7 +253,7 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
         holds = 8 * en.value + 23 >= n
         detail = f"8*{en} + 23 >= {n}: {holds}"
     elif subcase == 2:
-        emax = max(_e(ctx, 3 * n - m), _e(ctx, 3 * n - 2 * m))
+        emax = max(val(ctx, 3 * n - m), val(ctx, 3 * n - 2 * m))
         if emax.is_infinite:
             holds = True
             detail = "3n-2m = 0 branch: trivially satisfied"
@@ -270,7 +266,7 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
         holds = first or second
         detail = f"7*{en}+{log_mr}+24 >= {m}: {first}; 8*{log_mr}+24 >= {3*r}: {second}"
     else:
-        emax = max(_e(ctx, 3 * n - m), _e(ctx, 3 * n - 2 * m))
+        emax = max(val(ctx, 3 * n - m), val(ctx, 3 * n - 2 * m))
         if emax.is_infinite:
             first = True
         else:
@@ -700,7 +696,6 @@ def _oracle_check(space: SpaceType, report, k_max: int) -> str:
 
 def check_type(
     space: SpaceType,
-    cap: int = 60,
     window_policy: str = "standard",
     oracle_k_max: int | None = None,
 ) -> Verdict:
@@ -798,7 +793,7 @@ class ClassificationResult:
     discrepancies: list[str]
 
 
-def _classify_candidate(ctx: PrimeContext, halves: tuple[int, ...], cap: int) -> tuple[str, Verdict]:
+def _classify_candidate(ctx: PrimeContext, halves: tuple[int, ...]) -> tuple[str, Verdict]:
     space = SpaceType(ctx, halves)
     if quasi_regular(space):
         return "quasi_regular", Verdict(
@@ -825,7 +820,7 @@ def _classify_candidate(ctx: PrimeContext, halves: tuple[int, ...], cap: int) ->
             certificate=None,
             trace=["claimed elimination; the standard window family finds no certificate"],
         )
-    verdict = check_type(space, cap=cap)
+    verdict = check_type(space)
     return "residual", verdict
 
 
@@ -848,9 +843,9 @@ def classify_theorem_1_2(
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda h: _classify_candidate(ctx, h, cap), candidates))
+            outcomes = list(pool.map(lambda h: _classify_candidate(ctx, h), candidates))
     else:
-        outcomes = [_classify_candidate(ctx, halves, cap) for halves in candidates]
+        outcomes = [_classify_candidate(ctx, halves) for halves in candidates]
 
     verdicts: dict[tuple[int, ...], Verdict] = {}
     survivors: list[tuple[int, ...]] = []

@@ -381,7 +381,7 @@ def _reproduce_bound(document: dict) -> None:
 @click.option("--p", "p", type=int, default=3, show_default=True)
 @click.option("--cap", type=int, default=60, show_default=True,
               help="Maximum half-degree for the candidate enumeration.")
-@click.option("--workers", type=int, default=1, show_default=True)
+@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "markdown"]), default="json")
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @click.option("--timing/--no-timing", default=False, show_default=True,

@@ -17,6 +17,10 @@ Everything in this module is integer-exact.  The central objects are:
   ``k**a - k**b`` for a single base, and the minimum of that valuation
   over all bases ``k >= 2``, which is the per-factor building block of
   the divisibility sieve.
+- ``nu_table``: ``nu(d)`` for every ``1 <= d <= limit`` as one shared
+  per-prime list, built on first use and grown on demand (a memo past
+  ``NU_TABLE_LIMIT``), so the sieve's inner loops read ``nu`` by indexing
+  instead of calling a function.
 
 The hot paths avoid big-integer arithmetic entirely (lifting-the-exponent
 plus multiplicative-order computations); big integers appear only in test
@@ -40,6 +44,7 @@ __all__ = [
     "digit_sum",
     "val_factorial",
     "nu",
+    "nu_table",
     "val_power_diff",
     "pair_min_val",
 ]
@@ -317,6 +322,61 @@ def _nu_int(ctx: PrimeContext, n: int) -> int:
     if n % (ctx.p - 1) != 0:
         return 0
     return _val_int(ctx.p, n) + 1
+
+
+NU_TABLE_LIMIT = 1 << 16
+"""Largest ``d`` the shared nu list covers (512 KB of references).  The
+p = 3 pipeline up to M0 = 115 needs ``d < 345``; a larger request gets a
+:class:`_NuMemo`, whose memory follows the differences looked up, not
+their size."""
+
+# p -> the longest nu list built so far; each growth stores a new list, so a
+# list already handed out is never modified.
+_NU_TABLES: dict[int, list] = {}
+
+
+class _NuMemo(dict):
+    """``nu(d)`` computed on the first lookup of each ``d >= 1``."""
+
+    def __init__(self, ctx: PrimeContext):
+        super().__init__()
+        self.ctx = ctx
+
+    def __missing__(self, d: int) -> int:
+        if d < 1:
+            raise IndexError(f"nu table index {d} is not a positive difference")
+        value = self[d] = _nu_int(self.ctx, d)
+        return value
+
+
+def nu_table(ctx: PrimeContext, limit: int) -> list | _NuMemo:
+    """``nu(d)`` as plain ints, indexed by ``d``, for every ``1 <= d <= limit``.
+
+    Up to :data:`NU_TABLE_LIMIT` this is a list shared per prime, possibly
+    longer than asked for; callers must not modify it.  Entry 0 is ``None``
+    (``nu(0)`` is infinite), so a zero difference fails loudly instead of
+    reading a finite value.  Nothing is built at import: the first request
+    for ``p`` builds the list and a request beyond its end rebuilds it at
+    least twice as long.  A larger ``limit`` gets a fresh :class:`_NuMemo`,
+    indexed the same way.
+    """
+    if limit > NU_TABLE_LIMIT:
+        return _NuMemo(ctx)
+    p = ctx.p
+    table = _NU_TABLES.get(p)
+    if table is None or len(table) <= limit:
+        size = min(max(limit + 1, 2 * len(table) if table else 64), NU_TABLE_LIMIT + 1)
+        table = [0] * size
+        # nu(d) = val(d) + 1 exactly on the multiples of p - 1: level f marks
+        # the multiples of (p - 1) * p**(f - 1), each level a subset of the last
+        step, f = p - 1, 1
+        while step < size:
+            table[step::step] = [f] * ((size - 1) // step)
+            step *= p
+            f += 1
+        table[0] = None
+        _NU_TABLES[p] = table
+    return table
 
 
 def _val_power_of_base_minus_one(ctx: PrimeContext, k: int, t: int) -> int:

@@ -17,19 +17,20 @@ at class ``t_i`` is ``v_i < t_i``; when it holds at every class and the
 window contains a witness generator (``m_j`` with ``m_j`` and ``p * m_j``
 both inside the window, so that its p-th power survives), the type cannot
 carry the multiplicative structure under investigation and is certified
-eliminated.
+eliminated.  Every ``nu`` value these sums need is a lookup into one
+per-prime table (:func:`apsieve.padic.nu_table`).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
 from math import gcd
 
 from .finiteness import monomial_count
-from .padic import PrimeContext, Valuation, _nu_int, _pair_min_int
+from .padic import PrimeContext, Valuation, nu_table
 
 __all__ = [
     "SpaceType",
@@ -193,23 +194,32 @@ class ConditionReport:
 
 
 def condition_report(module: PsiModule) -> ConditionReport:
-    """Evaluate the divisibility condition on every class of ``module``."""
+    """Evaluate the divisibility condition on every class of ``module``.
+
+    Both per-class sums are read from the per-prime table of
+    :func:`~apsieve.padic.nu_table`: for a class ``t_i`` and another class
+    ``t_j``, ``nu_bound`` adds ``nu(|t_i - t_j|)`` and ``valuation_sum`` adds
+    ``pair_min(t_i, t_j) = min(nu(|t_i - t_j|), min(t_i, t_j))``.  The report
+    is computed from the module alone, so it re-checks a window the search
+    scored from its own prefix table.
+    """
     degrees = module.degrees()
     if len(degrees) < 2:
         raise ValueError("condition_report needs at least 2 classes")
     if len(set(degrees)) != len(degrees):
         raise ValueError("class degrees must be pre-merged (duplicates found)")
-    ctx = module.space.ctx
+    ordered = sorted(degrees)
+    nu = nu_table(module.space.ctx, ordered[-1] - ordered[0])
     conditions = []
     all_pass = True
-    for i, t_i in enumerate(degrees):
-        v = 0
-        b = 0
-        for j, t_j in enumerate(degrees):
-            if j == i:
-                continue
-            b += _nu_int(ctx, t_i - t_j)
-            v += _pair_min_int(ctx, t_i, t_j)
+    for t_i in degrees:
+        k = bisect_left(ordered, t_i)
+        # below t_i the smaller degree is t_j, above it t_i
+        below = [nu[t_i - t_j] for t_j in ordered[:k]]
+        above = [nu[t_j - t_i] for t_j in ordered[k + 1:]]
+        b = sum(below) + sum(above)
+        v = (sum([n if n < t_j else t_j for n, t_j in zip(below, ordered)])
+             + sum([n if n < t_i else t_i for n in above]))
         ok = v < t_i
         all_pass = all_pass and ok
         conditions.append(ClassCondition(degree=t_i, valuation_sum=v, nu_bound=b, passes=ok))
@@ -247,6 +257,21 @@ class PsiCertificate:
         }
 
 
+def _pair_min_prefix_sums(ctx: PrimeContext, degrees: list[int]) -> list[list[int]]:
+    """Row prefix sums ``S[i][j] = sum_{k < j, k != i} pair_min(t_i, t_k)``
+    for sorted distinct ``degrees``, read from the nu table: for ``k < i``,
+    ``pair_min(t_k, t_i) = min(nu[t_i - t_k], t_k)``."""
+    nu = nu_table(ctx, degrees[-1] - degrees[0])
+    prefix = []
+    for i, t_i in enumerate(degrees):
+        # the smaller degree of a pair caps its minimum
+        row = [n if (n := nu[t_i - t]) < t else t for t in degrees[:i]]
+        row.append(0)
+        row += [n if (n := nu[t - t_i]) < t_i else t_i for t in degrees[i + 1:]]
+        prefix.append([0, *accumulate(row)])
+    return prefix
+
+
 def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertificate | None:
     """Search the window family for a certifying window.
 
@@ -267,13 +292,15 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     module's sorted class degrees, so the search scores windows from one
     table of row prefix sums ``S[i][j] = sum_{k < j, k != i}
     pair_min(t_i, t_k)``, built once per call: class ``i`` of window
-    ``[a, b)`` has valuation sum ``S[i][b] - S[i][a]``.  A window with at
-    least two classes that passes these filters counts towards
-    ``windows_tried``.  Only the first window whose every class passes is
-    rebuilt with :func:`enumerate_classes` and :func:`condition_report`,
-    which produce the certificate's report; if that report does not hold
-    everywhere the scoring is wrong and ``RuntimeError`` is raised, so an
-    unverified window is never returned.
+    ``[a, b)`` has valuation sum ``S[i][b] - S[i][a]``.  The rows are
+    lookups into the per-prime table of :func:`~apsieve.padic.nu_table`,
+    with no function call per pair.  A window with at least two classes
+    that passes these filters counts towards ``windows_tried``.  Only the
+    first window whose every class passes is rebuilt with
+    :func:`enumerate_classes` and :func:`condition_report`, which produce
+    the certificate's report from the module alone, without this table; if
+    that report does not hold everywhere the scoring is wrong and
+    ``RuntimeError`` is raised, so an unverified window is never returned.
 
     Returns the first certifying window, or ``None`` (inconclusive; never
     a proof of survival).
@@ -281,7 +308,6 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     if policy not in ("standard", "exhaustive"):
         raise ValueError(f"unknown window policy {policy!r}")
     degrees = [t for t, _ in monomial_degree_multiplicities(space)]
-    ctx = space.ctx
     p = space.p
     tops = {p * m for m in space.halves}
     if policy == "exhaustive":
@@ -289,11 +315,7 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     tops = sorted(tops, reverse=True)
     bottom_window = (degrees[0], p * space.halves[0])
     bottom_gated = theorem_1_1_test(space).passed
-    pair = [[0] * len(degrees) for _ in degrees]
-    for i, t_i in enumerate(degrees):
-        for k in range(i + 1, len(degrees)):
-            pair[i][k] = pair[k][i] = _pair_min_int(ctx, t_i, degrees[k])
-    prefix = [[0, *accumulate(row)] for row in pair]
+    prefix = _pair_min_prefix_sums(space.ctx, degrees)
     tried = 0
     for a, d_lo in enumerate(degrees):
         for d_hi in tops:
@@ -361,14 +383,17 @@ def main_lemma_val(ctx: PrimeContext, m: int, t: int, i: int) -> int:
 
         prod over j in [t, t*p], j != i, of (k0**(m*i) - k0**(m*j)),
 
-    namely the sum of ``nu(m * |i - j|)`` over the run.  When ``m`` does
+    namely the sum of ``nu(m * |i - j|)`` over the run, read from the
+    per-prime table of :func:`~apsieve.padic.nu_table`.  When ``m`` does
     not divide ``p - 1`` this value is strictly below ``m * t``.
     """
     if m < 1 or t < 1:
         raise ValueError("m and t must be positive")
-    if not (t <= i <= t * ctx.p):
+    top = t * ctx.p
+    if not (t <= i <= top):
         raise ValueError("i must lie in [t, t*p]")
-    return sum(_nu_int(ctx, m * (i - j)) for j in range(t, t * ctx.p + 1) if j != i)
+    nu = nu_table(ctx, m * (top - t))
+    return sum(nu[m * abs(i - j)] for j in range(t, top + 1) if j != i)
 
 
 @dataclass(frozen=True)

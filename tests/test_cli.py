@@ -31,6 +31,13 @@ def test_p3_only_targets_refuse_other_primes():
         assert "specific to p = 3" in res.output
 
 
+def test_workers_below_one_is_a_usage_error():
+    for workers in ("0", "-3"):
+        res = run("reproduce", "--workers", workers, "thm1.2")
+        assert res.exit_code == 2, (workers, res.output)
+        assert "--workers" in res.output
+
+
 def test_check_type_refuses_oversized_enumeration():
     halves = ",".join(str(m) for m in range(2, 22))
     res = run("check-type", "--p", "31", halves)

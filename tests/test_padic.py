@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +17,9 @@ from apsieve import (
     val_factorial,
     val_power_diff,
 )
-from apsieve.padic import multiplicative_order
+from apsieve import padic
+from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int, multiplicative_order, nu_table
+from apsieve.psimod import _pair_min_prefix_sums
 
 from conftest import bigint_val
 
@@ -192,3 +198,61 @@ def test_multiplicative_order():
     assert multiplicative_order(4, 3) == 1
     assert multiplicative_order(2, 7) == 3
     assert multiplicative_order(3, 7) == 6
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_nu_table_matches_nu_int(p):
+    ctx = PrimeContext(p)
+    table = nu_table(ctx, 2000)
+    assert table[1:2001] == [_nu_int(ctx, d) for d in range(1, 2001)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_nu_table_grows_on_demand(p, monkeypatch):
+    monkeypatch.setattr(padic, "_NU_TABLES", {})
+    ctx = PrimeContext(p)
+    small = nu_table(ctx, 10)
+    before = list(small)
+    large = nu_table(ctx, 2000)
+    assert len(small) > 10 and len(large) > 2000
+    assert small == before  # a table already handed out is never modified
+    assert large[1:2001] == [_nu_int(ctx, d) for d in range(1, 2001)]
+    assert nu_table(ctx, 50) is large
+    assert large[0] is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31])
+def test_nu_table_past_the_limit_is_a_memo(p, monkeypatch):
+    # memory follows the differences looked up, not their size
+    monkeypatch.setattr(padic, "_NU_TABLES", {})
+    ctx = PrimeContext(p)
+    memo = nu_table(ctx, 10**12)
+    assert not isinstance(memo, list)
+    for d in [1, p - 1, (p - 1) * p**9, NU_TABLE_LIMIT + 1, 10**12, (p - 1) * 10**11, 10**12 - 1]:
+        assert memo[d] == _nu_int(ctx, d)
+    assert len(nu_table(ctx, NU_TABLE_LIMIT)) == NU_TABLE_LIMIT + 1
+    with pytest.raises(IndexError):
+        memo[0]
+
+
+def test_nu_table_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(padic.__file__))
+    code = "import apsieve.cli, apsieve.padic as m; assert not m._NU_TABLES"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    degrees=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=30, unique=True),
+)
+def test_pair_min_rows_from_table(p, degrees):
+    ctx = PrimeContext(p)
+    degrees.sort()
+    prefix = _pair_min_prefix_sums(ctx, degrees)
+    for i, t_i in enumerate(degrees):
+        sums = [0]
+        for j, t_j in enumerate(degrees):
+            sums.append(sums[-1] + (0 if j == i else _pair_min_int(ctx, t_i, t_j)))
+        assert prefix[i] == sums

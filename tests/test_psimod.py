@@ -18,6 +18,7 @@ from apsieve import (
     wilkerson_filter_2,
 )
 from apsieve import psimod
+from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int
 from apsieve.psimod import MONOMIAL_BUDGET, monomial_degree_multiplicities
 
 
@@ -191,9 +192,47 @@ def test_eliminate_by_psi_239_is_inconclusive(ctx3):
     assert not by_degree[9].passes
 
 
+def _reference_report(module):
+    """The condition report as ``ConditionReport.as_dict()``, every term
+    through ``_nu_int`` / ``_pair_min_int``: no nu table, no prefix sums."""
+    ctx = module.space.ctx
+    degrees = module.degrees()
+    classes = []
+    for i, t_i in enumerate(degrees):
+        v = b = 0
+        for j, t_j in enumerate(degrees):
+            if j == i:
+                continue
+            b += _nu_int(ctx, t_i - t_j)
+            v += _pair_min_int(ctx, t_i, t_j)
+        classes.append({"degree": t_i, "valuation_sum": v, "nu_bound": b, "passes": v < t_i})
+    return {
+        "window": list(module.window),
+        "witness": module.witnesses[0] if module.witnesses else None,
+        "holds_everywhere": all(c["passes"] for c in classes),
+        "classes": classes,
+    }
+
+
+def _reference_holds(module):
+    """Whether every class passes, by ``_pair_min_int`` per pair; stops at
+    the first class whose partial sum reaches its degree."""
+    ctx = module.space.ctx
+    degrees = module.degrees()
+    for i, t_i in enumerate(degrees):
+        v = 0
+        for j, t_j in enumerate(degrees):
+            if j != i:
+                v += _pair_min_int(ctx, t_i, t_j)
+                if v >= t_i:
+                    return False
+    return True
+
+
 def _reference_search(space, policy):
-    """The window search with a full condition report for every window:
-    same window order and filters as ``eliminate_by_psi``, no shared table."""
+    """The window search with every window checked per pair and the first
+    passing one reported by ``_reference_report``: same window order and
+    filters as ``eliminate_by_psi``, no shared table."""
     degrees = [t for t, _ in monomial_degree_multiplicities(space)]
     p = space.p
     tops = {p * m for m in space.halves}
@@ -213,9 +252,8 @@ def _reference_search(space, policy):
             module = enumerate_classes(space, (d_lo, d_hi))
             if len(module.classes) < 2:
                 continue
-            report = condition_report(module)
-            if report.holds_everywhere:
-                return (d_lo, d_hi), module.witnesses[0], report.as_dict()
+            if _reference_holds(module):
+                return (d_lo, d_hi), module.witnesses[0], _reference_report(module)
     return None
 
 
@@ -247,6 +285,49 @@ def test_window_search_matches_reference_p3(ctx3):
 def test_window_search_matches_reference_p5(ctx5):
     spaces = (SpaceType(ctx5, h) for h in combinations_with_replacement(range(2, 21), 3))
     _assert_matches_reference(s for s in spaces if _passes_filters(s))
+
+
+def _assert_bottom_reports_match_reference(spaces):
+    for space in spaces:
+        module = enumerate_classes(space, (space.halves[0], space.p * space.halves[0]))
+        assert condition_report(module).as_dict() == _reference_report(module), space.halves
+
+
+def test_condition_report_matches_reference_p3(ctx3):
+    _assert_bottom_reports_match_reference(
+        SpaceType(ctx3, h)
+        for rank in (1, 2, 3)
+        for h in combinations_with_replacement(range(2, 31), rank)
+    )
+
+
+def test_condition_report_matches_reference_p5(ctx5):
+    spaces = (SpaceType(ctx5, h) for h in combinations_with_replacement(range(2, 21), 3))
+    _assert_bottom_reports_match_reference(s for s in spaces if _passes_filters(s))
+
+
+def test_degrees_past_the_nu_table_limit(ctx3, ctx5):
+    # spans beyond NU_TABLE_LIMIT read nu from a memo; same results
+    for space in [SpaceType(ctx3, (2, 3, 100_000)), SpaceType(ctx3, (4, 8, 40_000, 80_004)),
+                  SpaceType(ctx5, (3, 7, 30_001))]:
+        assert space.p * space.halves[-1] - space.halves[0] > NU_TABLE_LIMIT
+        for policy in ("standard", "exhaustive"):
+            cert = eliminate_by_psi(space, policy)
+            got = None if cert is None else (cert.window, cert.witness, cert.report.as_dict())
+            assert got == _reference_search(space, policy), (space.halves, policy)
+        module = enumerate_classes(space, (2, space.p * space.halves[-1]))
+        assert condition_report(module).as_dict() == _reference_report(module)
+
+
+def test_condition_report_any_class_order(ctx5):
+    # a module whose classes are not in ascending order gets the same sums
+    rng = random.Random(5)
+    for halves in [(2, 3, 4), (3, 7, 11), (4, 9, 16), (6, 10, 19)]:
+        module = enumerate_classes(SpaceType(ctx5, halves), (2, 100))
+        classes = list(module.classes)
+        rng.shuffle(classes)
+        shuffled = dataclasses.replace(module, classes=tuple(classes))
+        assert condition_report(shuffled).as_dict() == _reference_report(shuffled)
 
 
 def test_window_search_internal_error_guard(ctx3, monkeypatch):
