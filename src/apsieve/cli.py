@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -57,9 +58,43 @@ _REPRODUCE_TARGETS = (
 )
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, for a value whose dict
+    keys are strings, without the standard library's pure-Python encoder
+    (``json`` uses its C encoder only without ``indent``).  ``indent`` is the
+    line break and indentation that precede ``value``'s closing bracket."""
+    cls = type(value)
+    if cls is str:
+        return encode_basestring_ascii(value)
+    if cls is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+            for key in sorted(value)
+        ])
+        return "{" + inner + items + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = ("," + inner).join([_json_text(item, inner) for item in value])
+        return "[" + inner + items + indent + "]"
+    # floats and str or int subclasses; raises TypeError on what JSON cannot hold
+    return json.dumps(value)
+
+
 def _emit(document: dict, fmt: str, out: str | None):
     if fmt == "json":
-        text = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        text = _json_text(document) + "\n"
     else:
         text = _render_markdown(document)
     if out:

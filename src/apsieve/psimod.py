@@ -24,6 +24,7 @@ per-prime table (:func:`apsieve.padic.nu_table`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -110,12 +111,10 @@ def monomial_degree_multiplicities(space: SpaceType) -> tuple[tuple[int, int], .
     Refuses, before enumerating, an algebra over the monomial budget (see
     :func:`check_monomial_budget`)."""
     check_monomial_budget(space)
-    gens = space.halves
-    counts: dict[int, int] = {}
+    counts: Counter[int] = Counter()
     for length in range(1, space.p + 1):
-        for combo in combinations_with_replacement(range(len(gens)), length):
-            d = sum(gens[i] for i in combo)
-            counts[d] = counts.get(d, 0) + 1
+        # combined by position, so repeated half-degrees stay distinct generators
+        counts.update(map(sum, combinations_with_replacement(space.halves, length)))
     return tuple(sorted(counts.items()))
 
 
@@ -199,9 +198,11 @@ def condition_report(module: PsiModule) -> ConditionReport:
     Both per-class sums are read from the per-prime table of
     :func:`~apsieve.padic.nu_table`: for a class ``t_i`` and another class
     ``t_j``, ``nu_bound`` adds ``nu(|t_i - t_j|)`` and ``valuation_sum`` adds
-    ``pair_min(t_i, t_j) = min(nu(|t_i - t_j|), min(t_i, t_j))``.  The report
-    is computed from the module alone, so it re-checks a window the search
-    scored from its own prefix table.
+    ``pair_min(t_i, t_j) = min(nu(|t_i - t_j|), min(t_i, t_j))``.  Since
+    ``nu(d)`` is 0 unless ``(p - 1) | d``, only classes in the residue class
+    of ``t_i`` mod ``p - 1`` add anything, so each class sums over its own
+    residue group alone.  The report is computed from the module alone, so
+    it re-checks a window the search scored from its own prefix table.
     """
     degrees = module.degrees()
     if len(degrees) < 2:
@@ -210,15 +211,20 @@ def condition_report(module: PsiModule) -> ConditionReport:
         raise ValueError("class degrees must be pre-merged (duplicates found)")
     ordered = sorted(degrees)
     nu = nu_table(module.space.ctx, ordered[-1] - ordered[0])
+    q = module.space.p - 1
+    groups: dict[int, list[int]] = {}
+    for t in ordered:
+        groups.setdefault(t % q, []).append(t)
     conditions = []
     all_pass = True
     for t_i in degrees:
-        k = bisect_left(ordered, t_i)
+        group = groups[t_i % q]
+        k = bisect_left(group, t_i)
         # below t_i the smaller degree is t_j, above it t_i
-        below = [nu[t_i - t_j] for t_j in ordered[:k]]
-        above = [nu[t_j - t_i] for t_j in ordered[k + 1:]]
+        below = [nu[t_i - t_j] for t_j in group[:k]]
+        above = [nu[t_j - t_i] for t_j in group[k + 1:]]
         b = sum(below) + sum(above)
-        v = (sum([n if n < t_j else t_j for n, t_j in zip(below, ordered)])
+        v = (sum([n if n < t_j else t_j for n, t_j in zip(below, group)])
              + sum([n if n < t_i else t_i for n in above]))
         ok = v < t_i
         all_pass = all_pass and ok
@@ -260,15 +266,24 @@ class PsiCertificate:
 def _pair_min_prefix_sums(ctx: PrimeContext, degrees: list[int]) -> list[list[int]]:
     """Row prefix sums ``S[i][j] = sum_{k < j, k != i} pair_min(t_i, t_k)``
     for sorted distinct ``degrees``, read from the nu table: for ``k < i``,
-    ``pair_min(t_k, t_i) = min(nu[t_i - t_k], t_k)``."""
+    ``pair_min(t_k, t_i) = min(nu[t_i - t_k], t_k)``.  A pair whose degrees
+    differ mod ``p - 1`` has ``nu = 0``, so row ``i`` gets a value only at
+    the positions of its own residue group and is 0 elsewhere."""
     nu = nu_table(ctx, degrees[-1] - degrees[0])
-    prefix = []
-    for i, t_i in enumerate(degrees):
-        # the smaller degree of a pair caps its minimum
-        row = [n if (n := nu[t_i - t]) < t else t for t in degrees[:i]]
-        row.append(0)
-        row += [n if (n := nu[t - t_i]) < t_i else t_i for t in degrees[i + 1:]]
-        prefix.append([0, *accumulate(row)])
+    n = len(degrees)
+    groups: dict[int, list[tuple[int, int]]] = {}
+    for k, t in enumerate(degrees):
+        groups.setdefault(t % (ctx.p - 1), []).append((k, t))
+    prefix: list = [None] * n
+    for group in groups.values():
+        for pos, (i, t_i) in enumerate(group):
+            row = [0] * (n + 1)
+            # the smaller degree of a pair caps its minimum
+            for k, t in group[:pos]:
+                row[k + 1] = v if (v := nu[t_i - t]) < t else t
+            for k, t in group[pos + 1:]:
+                row[k + 1] = v if (v := nu[t - t_i]) < t_i else t_i
+            prefix[i] = list(accumulate(row))
     return prefix
 
 
@@ -294,7 +309,9 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     pair_min(t_i, t_k)``, built once per call: class ``i`` of window
     ``[a, b)`` has valuation sum ``S[i][b] - S[i][a]``.  The rows are
     lookups into the per-prime table of :func:`~apsieve.padic.nu_table`,
-    with no function call per pair.  A window with at least two classes
+    with no function call per pair, and since ``nu(d) = 0`` unless
+    ``(p - 1) | d`` each row is filled only within its class's residue
+    group mod ``p - 1``; the window scan itself is unchanged.  A window with at least two classes
     that passes these filters counts towards ``windows_tried``.  Only the
     first window whose every class passes is rebuilt with
     :func:`enumerate_classes` and :func:`condition_report`, which produce

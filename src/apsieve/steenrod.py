@@ -41,7 +41,6 @@ __all__ = [
     "Expr",
     "SymbolicElement",
     "Derivation",
-    "cartan_apply",
     "basis_monomials",
     "degree_realizable",
 ]
@@ -540,10 +539,3 @@ class Derivation:
             if all(c.evaluate(assignment) == 0 for c in self.constraints):
                 return assignment
         return None
-
-
-def cartan_apply(op_exponent: int, element: SymbolicElement, space: SpaceType | None = None) -> SymbolicElement:
-    """Apply ``P^i`` to an element of a derivation (Cartan + unstable axioms)."""
-    if space is not None and space != element.deriv.space:
-        raise ValueError("element belongs to a different space type")
-    return element.deriv.apply_power(op_exponent, element)

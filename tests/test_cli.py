@@ -1,7 +1,12 @@
+import functools
 import json
+import math
 
+import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
+from apsieve import classifier, cli
 from apsieve.cli import main
 
 
@@ -147,3 +152,88 @@ def test_output_file(tmp_path):
     assert res.exit_code == 0
     doc = json.loads(out.read_text())
     assert doc["types"][0]["verdict"] == "survives"
+    # the file holds exactly the bytes stdout would
+    for args in (("check-type", "--p", "3", "2,21,27"), ("reproduce", "bound")):
+        res = run(*args, "--out", str(out))
+        assert res.exit_code == 0 and res.output == ""
+        assert out.read_bytes() == run(*args).output.encode()
+
+
+def _dumps(document):
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def shared_enumeration():
+    """``proposition_lists`` is a pure function of its arguments: the report
+    commands below share one enumeration per cap instead of one each."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classifier, "proposition_lists", functools.cache(classifier.proposition_lists))
+        yield
+
+
+@pytest.mark.parametrize("args", [
+    ("reproduce", "thm1.2"),
+    ("reproduce", "--cap", "115", "thm1.2"),
+    ("reproduce", "thm1.1-demo"),
+    ("reproduce", "lemma3.4"),
+    ("reproduce", "adem"),
+    ("reproduce", "--timing", "bound"),
+    ("reproduce", "prop1"),
+    ("reproduce", "prop2"),
+    ("reproduce", "prop3"),
+    ("reproduce", "prop4"),
+    ("check-type", "--p", "3", "2,21,27"),
+    ("check-type", "--p", "5", "--window-policy", "exhaustive", "4,6,14"),
+    ("check-type", "--p", "3", "--window-policy", "exhaustive", "--oracle", "2,21,27"),
+])
+def test_report_writer_matches_json_dumps(args, monkeypatch, shared_enumeration):
+    # the documents as built, tuples included, not as parsed back from the output
+    documents = []
+    emit = cli._emit
+
+    def recording(document, fmt, out):
+        documents.append(document)
+        emit(document, fmt, out)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    res = run(*args)
+    assert res.exit_code == 0, res.output
+    [document] = documents
+    assert cli._json_text(document) == _dumps(document)
+    assert res.output == _dumps(document) + "\n"
+    if "--timing" in args:
+        assert isinstance(document["timing_seconds"], float)
+
+
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats()
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "\U0001f600"])
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+@example({"nan": math.nan, "inf": math.inf, "-inf": -math.inf, "-0": -0.0, "[]": [], "{}": {}, "()": ()})
+@example([[], {}, (), [[]], {"": {"": []}}])
+@example({"b\u00e9": [2**100, -(2**100), True, False, None], "\"a\n": "\x00\u2028\"\\"})
+def test_report_writer_matches_json_dumps_on_any_document(value):
+    assert cli._json_text(value) == _dumps(value)
+
+
+def test_report_writer_refuses_what_json_cannot_hold():
+    with pytest.raises(TypeError):
+        cli._json_text({"a": [object()]})
+

@@ -287,6 +287,15 @@ def test_window_search_matches_reference_p5(ctx5):
     _assert_matches_reference(s for s in spaces if _passes_filters(s))
 
 
+def test_window_search_matches_reference_p7():
+    # the grouping is mod 6 here; every 7th rank <= 2 type up to 40 keeps the
+    # reference loop under a second
+    ctx7 = PrimeContext(7)
+    spaces = [SpaceType(ctx7, h) for rank in (1, 2)
+              for h in combinations_with_replacement(range(2, 41), rank)]
+    _assert_matches_reference(spaces[::7])
+
+
 def _assert_bottom_reports_match_reference(spaces):
     for space in spaces:
         module = enumerate_classes(space, (space.halves[0], space.p * space.halves[0]))
@@ -304,6 +313,53 @@ def test_condition_report_matches_reference_p3(ctx3):
 def test_condition_report_matches_reference_p5(ctx5):
     spaces = (SpaceType(ctx5, h) for h in combinations_with_replacement(range(2, 21), 3))
     _assert_bottom_reports_match_reference(s for s in spaces if _passes_filters(s))
+
+
+def test_condition_report_matches_reference_p7():
+    ctx7 = PrimeContext(7)
+    _assert_bottom_reports_match_reference(
+        SpaceType(ctx7, h)
+        for rank in (1, 2)
+        for h in combinations_with_replacement(range(2, 41), rank)
+    )
+
+
+def test_classes_in_distinct_residues_sum_to_zero():
+    # degrees 2..5 lie in four residue classes mod p - 1 = 6, so nu and every
+    # pair minimum vanish
+    ctx7 = PrimeContext(7)
+    module = enumerate_classes(SpaceType(ctx7, (2, 3)), (2, 5))
+    assert module.degrees() == (2, 3, 4, 5)
+    report = condition_report(module)
+    assert report.as_dict() == _reference_report(module)
+    assert all(c.valuation_sum == c.nu_bound == 0 for c in report.per_class)
+    assert report.holds_everywhere
+    assert psimod._pair_min_prefix_sums(ctx7, [2, 3, 4, 5]) == [[0] * 5] * 4
+
+
+def _reference_multiplicities(space):
+    """Monomial degrees and multiplicities by summing half-degrees over
+    index combinations, one generator sum per monomial."""
+    gens = space.halves
+    counts = {}
+    for length in range(1, space.p + 1):
+        for combo in combinations_with_replacement(range(len(gens)), length):
+            d = sum(gens[i] for i in combo)
+            counts[d] = counts.get(d, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+def test_monomial_degree_multiplicities_match_reference():
+    spaces = []
+    for p, rank, top in ((3, 4, 12), (5, 3, 12), (7, 2, 20)):
+        ctx = PrimeContext(p)
+        spaces += [SpaceType(ctx, h) for h in combinations_with_replacement(range(2, top + 1), rank)]
+        # repeated half-degrees are distinct generators of equal degree
+        spaces += [SpaceType(ctx, (2, 2, 4)), SpaceType(ctx, (3, 3, 3))]
+    for space in spaces:
+        assert monomial_degree_multiplicities(space) == _reference_multiplicities(space), space
+    # three generators of degree 3 reach degree 6 by all six products x_a * x_b, a <= b
+    assert dict(monomial_degree_multiplicities(SpaceType(PrimeContext(3), (3, 3, 3))))[6] == 6
 
 
 def test_degrees_past_the_nu_table_limit(ctx3, ctx5):
