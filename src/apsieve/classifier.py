@@ -184,6 +184,18 @@ def case_split(space: SpaceType) -> CaseTag | None:
     Case 1: 3|m, 3|n, m - n = 2s;  Case 2: 3|m, 3 not| n, m - n = 2s;
     Case 3: 3 not| m, m - n = 2s;  Case 4: m - r = 2t and no valid s.
     All step witnesses range over ``1 <= . <= val(m) + 1``.
+
+    Every triple that passes W1 gets a case, so ``None`` only ever comes back
+    for a triple that W1 eliminates:
+
+    - half-degrees are at least 2, so a strictly increasing triple has
+      ``m >= 4 > p`` and W1 is not vacuous;
+    - at p = 3 with m > 3, W1 says that r or n equals ``m - 2s`` for some
+      ``1 <= s <= val(m) + 1``;
+    - if it is n, that s is a valid step witness and the triple falls in
+      case 1, 2 or 3;
+    - if it is r and not n, that s is a valid t and the triple falls in
+      case 4.
     """
     if space.p != 3:
         raise ValueError("the case split is specific to p = 3")
@@ -669,7 +681,7 @@ def proposition_lists(ctx: PrimeContext | None = None, cap: int = 60) -> dict[in
         if not wilkerson_filter_2(space).passed:
             continue
         tag = case_split(space)
-        if tag is None:
+        if tag is None:  # guard: unreachable after W1, see case_split
             continue
         keep, _detail = _CASE_FILTERS[tag.case](space, tag.s if tag.s else tag.t)
         if keep:
@@ -741,7 +753,7 @@ def check_type(
 
     if space.p == 3 and space.rank == 3 and len(set(space.halves)) == 3:
         tag = case_split(space)
-        if tag is None:
+        if tag is None:  # guard: unreachable after W1, see case_split
             return Verdict(
                 space, VerdictKind.ELIMINATED, reason="PropositionArithmetic(case-split)",
                 certificate={"detail": "no case matches despite the filters"},

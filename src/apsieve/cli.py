@@ -1,19 +1,21 @@
 """Command-line front end and deterministic report emission.
 
 Exit codes: 0 = reproduced / OK, 1 = substantive diff between computed and
-expected values, 2 = usage error.  Reports are byte-deterministic for a
-fixed configuration: keys are sorted, no timestamps are embedded, and
-timing is included only on request.
+expected values, 2 = usage error, printed as one ``Error: ...`` line on
+stderr.  Reports are byte-deterministic for a fixed configuration: keys are
+sorted, no timestamps are embedded, and timing is included only on request.
+Arguments are parsed with the standard library's ``argparse``; the parser is
+built once, at import.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-
-import click
 
 from . import __version__
 from .classifier import (
@@ -56,6 +58,10 @@ _REPRODUCE_TARGETS = (
     "adem",
     "bound",
 )
+
+
+class UsageError(Exception):
+    """A bad command line: ``main`` prints it as ``Error: ...`` and exits 2."""
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -101,7 +107,7 @@ def _emit(document: dict, fmt: str, out: str | None):
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _render_markdown(document: dict) -> str:
@@ -160,94 +166,63 @@ def _parse_type(ctx_p: int, text: str) -> SpaceType:
         check_monomial_budget(space)
         return space
     except ValueError as exc:
-        raise click.UsageError(f"bad type {text!r}: {exc}") from exc
+        raise UsageError(f"bad type {text!r}: {exc}") from exc
 
 
-@click.group()
-def main():
-    """Deterministic sieve and verification toolkit for mod-p H-space types."""
-
-
-@main.command("val")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.argument("n", type=int)
 def cmd_val(p: int, n: int):
     """Print the p-adic valuation of N."""
     try:
         ctx = PrimeContext(p)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    click.echo(str(val(ctx, n)))
+        raise UsageError(str(exc)) from exc
+    print(val(ctx, n))
 
 
-@main.command("nu")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.argument("n", type=int)
 def cmd_nu(p: int, n: int):
     """Print the exact valuation of k0**N - 1."""
     try:
         ctx = PrimeContext(p)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
-    click.echo(str(nu(ctx, n)))
+        raise UsageError(str(exc)) from exc
+    print(nu(ctx, n))
 
 
-@main.command("digitsum")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.argument("n", type=int)
 def cmd_digitsum(p: int, n: int):
     """Print the base-p digit sum of N."""
     try:
         ctx = PrimeContext(p)
-        click.echo(str(digit_sum(ctx, n)))
+        print(digit_sum(ctx, n))
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
-@main.command("valfact")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.argument("n", type=int)
 def cmd_valfact(p: int, n: int):
     """Print the valuation of N factorial."""
     try:
         ctx = PrimeContext(p)
-        click.echo(str(val_factorial(ctx, n)))
+        print(val_factorial(ctx, n))
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
 
 
-@main.command("adem")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.argument("a", type=int)
-@click.argument("b", type=int)
 def cmd_adem(p: int, a: int, b: int):
     """Print the admissible expansion of P^A P^B."""
     if a < 1 or b < 1:
-        raise click.UsageError("exponents must be positive")
+        raise UsageError("exponents must be positive")
     word = PowerWord((a, b), 1)
     if is_admissible(word.exponents, p):
-        click.echo(f"P^{a} P^{b} is admissible")
+        print(f"P^{a} P^{b} is admissible")
         return
     expansion = normalize(word, p)
-    click.echo(f"P^{a} P^{b} = {format_expansion(expansion, p)}")
+    print(f"P^{a} P^{b} = {format_expansion(expansion, p)}")
 
 
-@main.command("check-type")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.option("--window-policy", type=click.Choice(["standard", "exhaustive"]),
-              default="standard", show_default=True)
-@click.option("--oracle/--no-oracle", default=False, show_default=True,
-              help="Cross-check certified windows with the big-integer gcd oracle.")
-@click.option("--k-max", type=int, default=50, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "markdown"]), default="json")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.argument("halves")
 def cmd_check_type(p: int, window_policy: str, oracle: bool, k_max: int,
                    fmt: str, out: str | None, halves: str):
     """Full staged verdict for one comma-separated type, e.g. 4,8,12."""
     space = _parse_type(p, halves)
     if oracle and k_max < max(space.ctx.p, space.ctx.k0):
-        raise click.UsageError(f"k-max must be at least max(p, k0) = {max(space.ctx.p, space.ctx.k0)}")
+        raise UsageError(f"k-max must be at least max(p, k0) = {max(space.ctx.p, space.ctx.k0)}")
     verdict = check_type(space, window_policy=window_policy,
                          oracle_k_max=k_max if oracle else None)
     document = _base_document(
@@ -260,17 +235,12 @@ def cmd_check_type(p: int, window_policy: str, oracle: bool, k_max: int,
     _emit(document, fmt, out)
 
 
-@main.command("bound")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.option("--rank", "r", type=int, default=3, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "markdown"]), default="json")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
 def cmd_bound(p: int, r: int, fmt: str, out: str | None):
     """Monomial count and the effective top-degree bound for (p, rank)."""
     try:
         bound = rank_bound(p, r)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     document = _base_document("bound", {"p": p, "rank": r})
     document["summary"] = {
         "monomials": bound.monomials,
@@ -412,33 +382,22 @@ def _reproduce_bound(document: dict) -> None:
         document["discrepancies"].append("a candidate exceeds the finiteness bound")
 
 
-@main.command("reproduce")
-@click.option("--p", "p", type=int, default=3, show_default=True)
-@click.option("--cap", type=int, default=60, show_default=True,
-              help="Maximum half-degree for the candidate enumeration.")
-@click.option("--workers", type=click.IntRange(min=1), default=1, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["json", "markdown"]), default="json")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@click.option("--timing/--no-timing", default=False, show_default=True,
-              help="Include wall-clock timing (breaks byte-for-byte determinism).")
-@click.argument("target")
-@click.pass_context
-def cmd_reproduce(click_ctx, p: int, cap: int, workers: int, fmt: str,
+def cmd_reproduce(p: int, cap: int, workers: int, fmt: str,
                   out: str | None, timing: bool, target: str):
     """Regenerate a classification table and diff it against the expected values.
 
     Targets: thm1.1-demo, prop1..prop4, thm1.2, lemma3.4, adem, bound.
     """
     if target not in _REPRODUCE_TARGETS:
-        raise click.UsageError(f"unknown target {target!r}; choose from {_REPRODUCE_TARGETS}")
+        raise UsageError(f"unknown target {target!r}; choose from {_REPRODUCE_TARGETS}")
     if cap < p:
-        raise click.UsageError("cap must be at least p")
+        raise UsageError("cap must be at least p")
     if p != 3 and (target == "thm1.2" or target.startswith("prop")):
-        raise click.UsageError(f"target {target} is specific to p = 3")
+        raise UsageError(f"target {target} is specific to p = 3")
     try:
         ctx = PrimeContext(p)
     except ValueError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(str(exc)) from exc
     document = _base_document(target, {"p": p, "format": fmt, "cap": cap, "workers": workers})
     start = time.perf_counter()
     if target.startswith("prop"):
@@ -462,8 +421,116 @@ def cmd_reproduce(click_ctx, p: int, cap: int, workers: int, fmt: str,
     if timing:
         document["timing_seconds"] = round(time.perf_counter() - start, 3)
     _emit(document, fmt, out)
-    click_ctx.exit(1 if document["discrepancies"] else 0)
+    return 1 if document["discrepancies"] else 0
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises ``UsageError`` on a bad command line instead of printing the
+    usage and exiting, so that ``main`` reports every usage error alike."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
+    return value
+
+
+def _file_path(text: str) -> str:
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"File {text!r} is a directory.")
+    return text
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="apsieve",
+        description="Deterministic sieve and verification toolkit for mod-p H-space types.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(name, handler):
+        doc = handler.__doc__
+        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc,
+                                  allow_abbrev=False)
+        sub.set_defaults(handler=handler)
+        sub.add_argument("--p", type=int, default=3, help="the odd prime (default: 3)")
+        return sub
+
+    def report_options(sub):
+        sub.add_argument("--format", dest="fmt", choices=("json", "markdown"), default="json",
+                         help="report format (default: json)")
+        sub.add_argument("--out", type=_file_path, metavar="FILE",
+                         help="write the report to FILE instead of stdout")
+
+    for name, handler in (("val", cmd_val), ("nu", cmd_nu),
+                          ("digitsum", cmd_digitsum), ("valfact", cmd_valfact)):
+        command(name, handler).add_argument("n", type=int, metavar="N")
+
+    sub = command("adem", cmd_adem)
+    sub.add_argument("a", type=int, metavar="A")
+    sub.add_argument("b", type=int, metavar="B")
+
+    sub = command("check-type", cmd_check_type)
+    sub.add_argument("--window-policy", choices=("standard", "exhaustive"), default="standard",
+                     help="window family of the sieve (default: standard)")
+    sub.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
+                     help="Cross-check certified windows with the big-integer gcd oracle.")
+    sub.add_argument("--k-max", type=int, default=50, help="the oracle's k bound (default: 50)")
+    report_options(sub)
+    sub.add_argument("halves", metavar="HALVES")
+
+    sub = command("bound", cmd_bound)
+    sub.add_argument("--rank", dest="r", type=int, default=3, help="the rank (default: 3)")
+    report_options(sub)
+
+    sub = command("reproduce", cmd_reproduce)
+    sub.add_argument("--cap", type=int, default=60,
+                     help="Maximum half-degree for the candidate enumeration (default: 60).")
+    sub.add_argument("--workers", type=_positive_int, default=1,
+                     help="threads, at least 1 (default: 1)")
+    report_options(sub)
+    sub.add_argument("--timing", action=argparse.BooleanOptionalAction, default=False,
+                     help="Include wall-clock timing (breaks byte-for-byte determinism).")
+    sub.add_argument("target", metavar="TARGET")
+    return parser
+
+
+_PARSER = _build_parser()
+
+
+def _run(argv) -> int:
+    try:
+        args = vars(_PARSER.parse_args(argv))
+    except SystemExit as exc:  # ``--help`` exits after printing the help text
+        return exc.code
+    handler = args.pop("handler")
+    return handler(**args) or 0
+
+
+def main(argv=None, standalone_mode=True, prog_name=None):
+    """Run one command line (``sys.argv[1:]`` when ``argv`` is None).
+
+    Returns the exit code 0, 1 or 2 when ``standalone_mode`` is false, and
+    exits with it otherwise.  ``prog_name`` is accepted and ignored: the
+    program name is always ``apsieve``.
+    """
+    try:
+        code = _run(argv)
+    except UsageError as exc:
+        sys.stderr.write(f"Error: {exc}\n")
+        code = 2
+    if standalone_mode:
+        sys.exit(code)
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    main()

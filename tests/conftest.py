@@ -1,6 +1,11 @@
+import contextlib
+import io
+from typing import NamedTuple
+
 import pytest
 
 from apsieve import PrimeContext
+from apsieve.cli import main
 
 
 @pytest.fixture(scope="session")
@@ -22,3 +27,17 @@ def bigint_val(p: int, n: int) -> int:
         n //= p
         f += 1
     return f
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    output: str
+
+
+def invoke(args) -> CliResult:
+    """Run one command line through ``apsieve.cli.main`` in this process;
+    ``output`` holds stdout and stderr as written, in one buffer."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(buf):
+        code = main(list(args), standalone_mode=False)
+    return CliResult(code, buf.getvalue())

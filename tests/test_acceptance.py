@@ -8,8 +8,6 @@ single pass line (visible with ``pytest -s`` or in failure reports).
 import random
 from itertools import combinations_with_replacement
 
-from click.testing import CliRunner
-
 from apsieve import (
     PrimeContext,
     SpaceType,
@@ -38,10 +36,9 @@ from apsieve.classifier import (
     wilkerson_filter_1,
     wilkerson_filter_2,
 )
-from apsieve.cli import main as cli_main
 from apsieve.steenrod import PowerWord, adem_expand, normalize
 
-from conftest import bigint_val
+from conftest import bigint_val, invoke
 
 
 def _report(line: str):
@@ -221,9 +218,8 @@ def test_criterion_11_finiteness():
 
 
 def test_criterion_12_determinism():
-    runner = CliRunner()
-    first = runner.invoke(cli_main, ["reproduce", "thm1.2"])
-    second = runner.invoke(cli_main, ["reproduce", "thm1.2"])
+    first = invoke(["reproduce", "thm1.2"])
+    second = invoke(["reproduce", "thm1.2"])
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     _report("criterion 12 (byte-identical reproduction reports): PASS")

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from apsieve import (
@@ -51,6 +53,17 @@ def test_case_split(ctx3):
     tag = case_split(SpaceType(ctx3, (2, 3, 4)))
     assert tag.case == 4 and tag.t == 1
     assert case_split(SpaceType(ctx3, (4, 6, 9))) is None
+
+
+def test_every_w1_passing_triple_has_a_case(ctx3):
+    # the argument in case_split's docstring, checked up to top 60
+    passing = 0
+    for halves in combinations(range(2, 61), 3):
+        space = SpaceType(ctx3, halves)
+        if wilkerson_filter_1(space).passed:
+            passing += 1
+            assert case_split(space) is not None, halves
+    assert passing == 2432
 
 
 def test_lemma_4_3(ctx3):

@@ -1,17 +1,21 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from apsieve import classifier, cli
 from apsieve.cli import main
 
+from conftest import invoke
+
 
 def run(*args):
-    return CliRunner().invoke(main, args)
+    return invoke(args)
 
 
 def test_valuation_commands():
@@ -27,6 +31,76 @@ def test_usage_errors_exit_2():
     assert run("check-type", "--p", "3", "6,4,2").exit_code == 2
     assert run("check-type", "--p", "3", "2,x,6").exit_code == 2
     assert run("reproduce", "nosuch").exit_code == 2
+
+
+@pytest.mark.parametrize("args, message", [
+    (("check-type", "--window-policy", "widest", "2,4,6"), "--window-policy"),
+    (("check-type", "--format", "xml", "2,4,6"), "--format"),
+    (("reproduce", "--format", "xml", "bound"), "--format"),
+    (("check-type",), "HALVES"),
+    (("adem", "--p", "3", "3"), "B"),
+    (("nosuch",), "'nosuch'"),
+    (("reproduce", "--workers", "0", "bound"), "--workers"),
+    (("check-type", "--win", "standard", "2,4,6"), "--win"),
+    ((), "COMMAND"),
+])
+def test_parser_usage_errors(args, message):
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("Error: ") and res.output.count("\n") == 1, res.output
+    assert message in res.output
+
+
+def test_out_naming_a_directory_is_a_usage_error(tmp_path):
+    res = run("check-type", "--out", str(tmp_path), "2,4,6")
+    assert res.exit_code == 2
+    assert f"File '{tmp_path}' is a directory" in res.output
+
+
+def test_usage_error_is_one_line_on_stderr(capsys):
+    assert main(["check-type", "6,4,2"], standalone_mode=False) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "Error: bad type '6,4,2': half-degrees must be sorted ascending\n"
+
+
+@pytest.mark.parametrize("command", [
+    "val", "nu", "digitsum", "valfact", "adem", "check-type", "bound", "reproduce",
+])
+def test_help_on_each_subcommand(command):
+    res = run(command, "--help")
+    assert res.exit_code == 0
+    assert res.output.startswith(f"usage: apsieve {command} ")
+
+
+def test_main_returns_the_exit_code(monkeypatch):
+    # with standalone_mode=False, main returns 0, 1 or 2 and never raises SystemExit
+    assert main(["val", "27"], standalone_mode=False) == 0
+    assert main(["reproduce", "bound"], standalone_mode=False) == 0
+    assert main(["--help"], standalone_mode=False) == 0
+    assert main(["check-type", "6,4,2"], standalone_mode=False) == 2
+    assert main(["nosuch"], standalone_mode=False) == 2
+    monkeypatch.setattr(cli, "_reproduce_bound",
+                        lambda document: document["discrepancies"].append("injected"))
+    assert main(["reproduce", "bound"], standalone_mode=False) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce", "bound"])
+    assert exc.value.code == 1
+
+
+def test_negative_n_is_an_argument():
+    # a bare negative number is read as N; "--" before it is still accepted
+    for args in (("val", "--p", "3", "-9"), ("val", "--p", "3", "--", "-9")):
+        res = run(*args)
+        assert res.exit_code == 0 and res.output == "2\n", (args, res.output)
+    assert run("nu", "--p", "3", "-18").output == "3\n"
+
+
+def test_import_does_not_load_click():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys, apsieve.cli; assert 'click' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_p3_only_targets_refuse_other_primes():

@@ -67,6 +67,14 @@ def test_val_factorial_brute(ctx3):
         assert val_factorial(ctx3, n) == bigint_val(3, fact)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_val_factorial_matches_digit_sum_form(p):
+    # Legendre: v_p(n!) = (n - s_p(n)) / (p - 1), with s_p the base-p digit sum
+    ctx = PrimeContext(p)
+    for n in range(2001):
+        assert val_factorial(ctx, n) == (n - digit_sum(ctx, n)) // (p - 1), (p, n)
+
+
 def test_nu_examples(ctx3):
     assert nu(ctx3, 3) == 0
     assert nu(ctx3, 2) == 1
