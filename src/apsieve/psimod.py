@@ -24,7 +24,6 @@ per-prime table (:func:`apsieve.padic.nu_table`).
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations_with_replacement
@@ -46,17 +45,19 @@ __all__ = [
     "gcd_oracle",
     "main_lemma_val",
     "theorem_1_1_test",
+    "low_degree_gcd",
     "monomial_degree_multiplicities",
     "check_monomial_budget",
     "MONOMIAL_BUDGET",
 ]
 
 MONOMIAL_BUDGET = 100_000
-"""Most monomials ``comb(rank + p, p) - 1`` that
-:func:`monomial_degree_multiplicities` enumerates; larger inputs are refused
-before any work.  The enumeration visits every monomial, so its cost grows
-as ``comb(rank + p, p)``: the largest modules the pipeline meets (p = 5,
-rank 3) have 55 monomials, and p = 31 at rank 20 would have about 7.7e13."""
+"""Most monomials ``comb(rank + p, p) - 1`` in an algebra that
+:func:`monomial_degree_multiplicities` or :func:`enumerate_classes` accepts;
+larger inputs are refused before any work.  The full enumeration visits
+every monomial, so its cost grows as ``comb(rank + p, p)``: the largest
+modules the pipeline meets (p = 5, rank 3) have 55 monomials, and p = 31 at
+rank 20 would have about 7.7e13."""
 
 
 @dataclass(frozen=True)
@@ -102,20 +103,36 @@ def check_monomial_budget(space: SpaceType) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+def _monomial_degrees(space: SpaceType, d_lo: int, d_hi: int) -> tuple[tuple[int, int], ...]:
+    """The monomial degrees in ``[d_lo, d_hi]`` of the height-(p+1) truncated
+    algebra on the generators of ``space``, with the number of monomials
+    realising each.  Since the generators are sorted, a sum of ``length`` of
+    them adds at least ``(length - 1) * m_1`` to its largest one, so only the
+    generators ``<= d_hi - (length - 1) * m_1`` are combined."""
+    halves = space.halves
+    counts: dict[int, int] = {}
+    for length in range(1, space.p + 1):
+        cut = bisect_right(halves, d_hi - (length - 1) * halves[0])
+        if not cut:
+            break
+        # combined by position, so repeated half-degrees stay distinct generators
+        for d in map(sum, combinations_with_replacement(halves[:cut], length)):
+            if d_lo <= d <= d_hi:
+                counts[d] = counts.get(d, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
+@lru_cache(maxsize=1024)
 def monomial_degree_multiplicities(space: SpaceType) -> tuple[tuple[int, int], ...]:
     """All monomial degrees of the height-(p+1) truncated algebra on the
     generators of ``space``: distinct sums of 1..p half-degrees, with the
     number of monomials realising each sum.
 
     Refuses, before enumerating, an algebra over the monomial budget (see
-    :func:`check_monomial_budget`)."""
+    :func:`check_monomial_budget`).  The case filters and the window search
+    read one type's multiset many times, so the last 1,024 are cached."""
     check_monomial_budget(space)
-    counts: Counter[int] = Counter()
-    for length in range(1, space.p + 1):
-        # combined by position, so repeated half-degrees stay distinct generators
-        counts.update(map(sum, combinations_with_replacement(space.halves, length)))
-    return tuple(sorted(counts.items()))
+    return _monomial_degrees(space, 1, space.p * space.halves[-1])
 
 
 @dataclass(frozen=True)
@@ -143,14 +160,18 @@ class PsiModule:
 
 
 def enumerate_classes(space: SpaceType, window: tuple[int, int]) -> PsiModule:
-    """Build the windowed module for ``space`` over ``window = (D_lo, D_hi)``."""
+    """Build the windowed module for ``space`` over ``window = (D_lo, D_hi)``.
+
+    Only the monomials of degree ``<= D_hi`` are generated, so the cost
+    follows the window rather than the whole algebra, and the cache of
+    :func:`monomial_degree_multiplicities` is neither read nor filled.  An
+    algebra over the monomial budget is refused all the same."""
     d_lo, d_hi = window
     if d_lo > d_hi:
         raise ValueError("window must satisfy D_lo <= D_hi")
+    check_monomial_budget(space)
     p = space.p
-    classes = tuple(
-        (t, mult) for t, mult in monomial_degree_multiplicities(space) if d_lo <= t <= d_hi
-    )
+    classes = _monomial_degrees(space, d_lo, d_hi)
     witnesses = tuple(
         sorted({m for m in space.halves if d_lo <= m and p * m <= d_hi})
     )
@@ -424,14 +445,23 @@ class GcdTestResult:
         return self.passed
 
 
+def low_degree_gcd(p: int, halves: tuple[int, ...]) -> int:
+    """gcd of the half-degrees ``<= p * m_1`` of the sorted ``halves``: the
+    number the gcd test asks to divide ``p - 1``.  Takes the raw tuple, so a
+    caller can test a type before building its :class:`SpaceType`."""
+    bound = p * halves[0]
+    g = 0
+    for m in halves:
+        if m > bound:
+            break
+        g = gcd(g, m)
+    return g
+
+
 def theorem_1_1_test(space: SpaceType) -> GcdTestResult:
     """gcd test: ``m = gcd of the half-degrees <= p * m_1`` must divide ``p - 1``.
 
     Failure eliminates the type; the forced window is ``[m_1, p * m_1]``.
     """
-    bound = space.p * space.halves[0]
-    g = 0
-    for m in space.halves:
-        if m <= bound:
-            g = gcd(g, m)
+    g = low_degree_gcd(space.p, space.halves)
     return GcdTestResult(passed=(space.p - 1) % g == 0, m=g)

@@ -104,10 +104,40 @@ def test_import_does_not_load_click():
 
 
 def test_p3_only_targets_refuse_other_primes():
-    for target in ("thm1.2", "prop1", "prop2", "prop3", "prop4"):
+    for target in ("thm1.2", "prop1", "prop2", "prop3", "prop4", "bound", "lemma3.4", "adem"):
         res = run("reproduce", "--p", "5", target)
         assert res.exit_code == 2, (target, res.output)
-        assert "specific to p = 3" in res.output
+        assert res.output == f"Error: target {target} is specific to p = 3\n"
+    # the demo runs at the prime it is given
+    res = run("reproduce", "--p", "5", "thm1.1-demo")
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["config"]["p"] == 5
+    assert doc["summary"] == {"gcd_failing_types_checked": 1615, "uncertified": []}
+
+
+@pytest.mark.parametrize("args", [
+    ("bound", "--p", "4"),
+    ("bound", "--p", "9", "--rank", "3"),
+    ("adem", "--p", "4", "3", "7"),
+    ("adem", "--p", "1", "3", "7"),
+])
+def test_bound_and_adem_refuse_a_non_prime(args):
+    res = run(*args)
+    assert res.exit_code == 2, res.output
+    assert res.output.startswith("Error: p must be an odd prime") and res.output.count("\n") == 1
+
+
+def test_thm11_demo_leaves_the_monomial_cache_alone():
+    # the demo enumerates bottom windows only, never a full multiset
+    from apsieve.psimod import monomial_degree_multiplicities
+
+    monomial_degree_multiplicities.cache_clear()
+    res = run("reproduce", "thm1.1-demo")
+    info = monomial_degree_multiplicities.cache_info()
+    assert (info.hits, info.misses, info.currsize, info.maxsize) == (0, 0, 0, 1024)
+    assert res.exit_code == 0
+    assert json.loads(res.output)["summary"] == {"gcd_failing_types_checked": 3584, "uncertified": []}
 
 
 def test_workers_below_one_is_a_usage_error():

@@ -19,7 +19,7 @@ from apsieve import (
 )
 from apsieve import psimod
 from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int
-from apsieve.psimod import MONOMIAL_BUDGET, monomial_degree_multiplicities
+from apsieve.psimod import MONOMIAL_BUDGET, low_degree_gcd, monomial_degree_multiplicities
 
 
 def test_space_type_validation(ctx3):
@@ -154,6 +154,10 @@ def test_gcd_test_examples(ctx3):
     assert theorem_1_1_test(SpaceType(ctx3, (4, 8, 12))).m == 4
     assert theorem_1_1_test(SpaceType(ctx3, (2, 3, 9))).passed
     assert theorem_1_1_test(SpaceType(ctx3, (6, 8, 10))).passed
+    # only half-degrees <= p * m_1 enter; the raw sorted tuple is enough
+    assert low_degree_gcd(3, (4, 8, 13)) == 4
+    assert low_degree_gcd(3, (6, 8, 10)) == 2
+    assert low_degree_gcd(5, (3,)) == 3
 
 
 def test_eliminate_by_psi_pinned_windows(ctx3):
@@ -241,6 +245,7 @@ def _reference_search(space, policy):
     tops = sorted(tops, reverse=True)
     bottom_window = (degrees[0], p * space.halves[0])
     bottom_gated = theorem_1_1_test(space).passed
+    full = _reference_multiplicities(space)
     for d_lo in degrees:
         for d_hi in tops:
             if d_hi < d_lo:
@@ -250,6 +255,7 @@ def _reference_search(space, policy):
             if bottom_gated and (d_lo, d_hi) == bottom_window:
                 continue
             module = enumerate_classes(space, (d_lo, d_hi))
+            assert module.classes == _reference_classes(full, (d_lo, d_hi)), (space, d_lo, d_hi)
             if len(module.classes) < 2:
                 continue
             if _reference_holds(module):
@@ -298,7 +304,9 @@ def test_window_search_matches_reference_p7():
 
 def _assert_bottom_reports_match_reference(spaces):
     for space in spaces:
-        module = enumerate_classes(space, (space.halves[0], space.p * space.halves[0]))
+        window = (space.halves[0], space.p * space.halves[0])
+        module = enumerate_classes(space, window)
+        assert module.classes == _reference_classes(_reference_multiplicities(space), window)
         assert condition_report(module).as_dict() == _reference_report(module), space.halves
 
 
@@ -347,6 +355,45 @@ def _reference_multiplicities(space):
             d = sum(gens[i] for i in combo)
             counts[d] = counts.get(d, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def _reference_classes(multiplicities, window):
+    """The classes of ``window``, filtered from the full multiset."""
+    d_lo, d_hi = window
+    return tuple((t, mult) for t, mult in multiplicities if d_lo <= t <= d_hi)
+
+
+def test_enumerate_classes_matches_reference_on_every_window():
+    # every window [d_lo, d_hi] of 0..p*m_r + 1, so also the windows below,
+    # between and above the classes, which hold none
+    spaces = [
+        SpaceType(PrimeContext(p), h)
+        for p, h in ((3, (3, 3, 3)), (3, (2, 2, 4)), (3, (2, 3, 9)), (3, (4, 8, 12)),
+                     (3, (2, 3, 5, 7)), (5, (3, 3, 3)), (5, (2, 5, 11)), (7, (4, 4)), (7, (2, 9)))
+    ]
+    empty = 0
+    for space in spaces:
+        full = _reference_multiplicities(space)
+        top = space.p * space.halves[-1] + 1
+        for d_lo in range(top + 1):
+            for d_hi in range(d_lo, top + 1):
+                classes = enumerate_classes(space, (d_lo, d_hi)).classes
+                assert classes == _reference_classes(full, (d_lo, d_hi)), (space, d_lo, d_hi)
+                empty += not classes
+    assert empty > 0
+    assert enumerate_classes(SpaceType(PrimeContext(3), (4, 8, 12)), (13, 15)).classes == ()
+    with pytest.raises(ValueError):
+        enumerate_classes(SpaceType(PrimeContext(3), (4, 8, 12)), (5, 4))
+
+
+def test_condition_report_reads_only_the_degrees(ctx3):
+    # (2,5,7) and (2,5,40) share the bottom window's classes 2, 4, 5, 6, so
+    # one report's per-class sums serve both
+    a = enumerate_classes(SpaceType(ctx3, (2, 5, 7)), (2, 6))
+    b = enumerate_classes(SpaceType(ctx3, (2, 5, 40)), (2, 6))
+    assert a.space != b.space
+    assert a.degrees() == b.degrees() == (2, 4, 5, 6)
+    assert condition_report(a).per_class == condition_report(b).per_class
 
 
 def test_monomial_degree_multiplicities_match_reference():
