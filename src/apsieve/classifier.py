@@ -9,15 +9,18 @@ Stages, in verdict precedence order:
 3. the rank-3 case split (cases 1-4) with its per-case arithmetic
    (inequality rules L1-L4 plus forced-operation degree checks),
 4. scripted reduced-power eliminations E1-E8,
-5. the quasi-regularity tag (top minus bottom below ``2*(p-1)``),
-6. the windowed divisibility sieve.
+5. the windowed divisibility sieve,
+6. the quasi-regularity tag (top minus bottom below ``2*(p-1)``) on the
+   types the sieve keeps.
 
-The candidate enumeration reproduces four case lists totalling 27 types
-and the final partition: six surviving types, four quasi-regular, eight
-eliminated by the scripted power arguments, and nine claimed by the
-sieve (one of which, (2,3,9), the standard window family does not
-certify; it is reported under the dedicated ``psi_uncertified`` key
-rather than silently accepted).
+``check_type`` runs these stages for one type, and the partition runs it
+on every candidate.  The candidate enumeration reproduces four case lists
+totalling 27 types and the final partition: six surviving types, four
+quasi-regular, eight eliminated by the scripted power arguments, and nine
+claimed by the sieve.  One of those nine, (2,3,9), the standard window
+family does not certify: its verdict is ``survives``, and the diff against
+the expected lists reports it under the dedicated ``psi_uncertified`` key
+rather than silently accepting the claim.
 """
 
 from __future__ import annotations
@@ -805,59 +808,17 @@ class ClassificationResult:
     discrepancies: list[str]
 
 
-def _classify_candidate(ctx: PrimeContext, halves: tuple[int, ...]) -> tuple[str, Verdict]:
-    space = SpaceType(ctx, halves)
-    if quasi_regular(space):
-        return "quasi_regular", Verdict(
-            space, VerdictKind.QUASI_REGULAR,
-            certificate={"detail": "top minus bottom below 2(p-1)"},
-        )
-    elim = endgame_rules(space)
-    if elim is not None:
-        return "steenrod", Verdict(
-            space, VerdictKind.ELIMINATED, reason=f"SteenrodRule({elim.rule_id})",
-            certificate=elim.as_dict(), trace=list(elim.trace),
-        )
-    psi = eliminate_by_psi(space)
-    if psi is not None:
-        return "psi_certified", Verdict(
-            space, VerdictKind.ELIMINATED, reason="PsiCondition",
-            certificate=psi.as_dict(),
-        )
-    if halves in PSI_CLAIMED:
-        # claimed eliminated, but the standard window family does not
-        # certify it: report the gap under its own key, never patch it
-        return "psi_uncertified", Verdict(
-            space, VerdictKind.ELIMINATED, reason="PsiCondition(uncertified-claim)",
-            certificate=None,
-            trace=["claimed elimination; the standard window family finds no certificate"],
-        )
-    verdict = check_type(space)
-    return "residual", verdict
+def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = 60) -> ClassificationResult:
+    """Run ``check_type`` on every rank-3 candidate and partition them.
 
-
-def classify_theorem_1_2(
-    ctx: PrimeContext | None = None, cap: int = 60, workers: int = 1
-) -> ClassificationResult:
-    """Run the whole pipeline and partition the rank-3 candidates.
-
-    The partition is computed, then diffed against the embedded expected
-    lists; a sieve-claimed type the window search cannot certify is
-    reported under ``psi_uncertified`` rather than silently accepted.
-    Per-type work may fan out over ``workers`` threads; results are merged
-    in sorted type order either way.
+    Each type is bucketed by its verdict alone.  The embedded expected
+    lists enter only afterwards, as a diff: a type the sieve is claimed to
+    eliminate but that survives ``check_type`` is listed under
+    ``psi_uncertified`` with its honest ``survives`` verdict, rather than
+    counted as a survivor or silently accepted as eliminated.
     """
     ctx = ctx or PrimeContext(3)
     lists = proposition_lists(ctx, cap=cap)
-    candidates = sorted(t for case in lists.values() for t in case)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda h: _classify_candidate(ctx, h), candidates))
-    else:
-        outcomes = [_classify_candidate(ctx, halves) for halves in candidates]
 
     verdicts: dict[tuple[int, ...], Verdict] = {}
     survivors: list[tuple[int, ...]] = []
@@ -867,20 +828,20 @@ def classify_theorem_1_2(
     psi_unc: list[tuple[int, ...]] = []
     discrepancies: list[str] = []
 
-    for halves, (bucket, verdict) in zip(candidates, outcomes):
-        verdicts[halves] = verdict
-        if bucket == "quasi_regular":
+    for halves in sorted(t for case in lists.values() for t in case):
+        verdict = verdicts[halves] = check_type(SpaceType(ctx, halves))
+        if verdict.kind is VerdictKind.QUASI_REGULAR:
             qr.append(halves)
-        elif bucket == "steenrod":
-            steenrod.append(halves)
-        elif bucket == "psi_certified":
+        elif verdict.reason == "PsiCondition":
             psi_cert.append(halves)
-        elif bucket == "psi_uncertified":
-            psi_unc.append(halves)
+        elif (verdict.reason or "").startswith("SteenrodRule("):
+            steenrod.append(halves)
         elif verdict.kind is VerdictKind.SURVIVES:
-            survivors.append(halves)
+            (psi_unc if halves in PSI_CLAIMED else survivors).append(halves)
         else:  # pragma: no cover - defensive
-            discrepancies.append(f"type {halves}: unexpected verdict {verdict.kind}")
+            discrepancies.append(
+                f"type {halves}: unexpected verdict {verdict.kind.value} ({verdict.reason})"
+            )
 
     expected_lists = {1: list(PROP_CASE1), 2: list(PROP_CASE2), 3: list(PROP_CASE3), 4: list(PROP_CASE4)}
     for case, expected in expected_lists.items():

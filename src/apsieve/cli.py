@@ -24,7 +24,6 @@ from .classifier import (
     PROP_CASE2,
     PROP_CASE3,
     PROP_CASE4,
-    SURVIVORS,
     check_type,
     classify_theorem_1_2,
 )
@@ -59,6 +58,8 @@ _REPRODUCE_TARGETS = (
     "adem",
     "bound",
 )
+# the targets that enumerate candidates, and so read --cap
+_CAP_TARGETS = ("prop1", "prop2", "prop3", "prop4", "thm1.2")
 
 
 class UsageError(Exception):
@@ -254,28 +255,20 @@ def cmd_bound(p: int, r: int, fmt: str, out: str | None):
     _emit(document, fmt, out)
 
 
-def _reproduce_props(ctx: PrimeContext, document: dict, cap: int = 60) -> None:
+def _reproduce_prop(ctx: PrimeContext, document: dict, case: int, cap: int) -> None:
     from .classifier import proposition_lists
 
-    lists = proposition_lists(ctx, cap=cap)
-    expected = {
-        1: sorted(PROP_CASE1),
-        2: sorted(PROP_CASE2),
-        3: sorted(PROP_CASE3),
-        4: sorted(PROP_CASE4),
-    }
-    document["summary"] = {}
-    for case in (1, 2, 3, 4):
-        computed = [list(t) for t in lists[case]]
-        document["summary"][f"case{case}"] = computed
-        if lists[case] != expected[case]:
-            document["discrepancies"].append(
-                f"case {case}: computed {lists[case]} != expected {expected[case]}"
-            )
+    computed = proposition_lists(ctx, cap=cap)[case]
+    expected = sorted((PROP_CASE1, PROP_CASE2, PROP_CASE3, PROP_CASE4)[case - 1])
+    document["summary"] = {f"case{case}": [list(t) for t in computed]}
+    if computed != expected:
+        document["discrepancies"].append(
+            f"case {case}: computed {computed} != expected {expected}"
+        )
 
 
-def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int = 60, workers: int = 1) -> None:
-    result = classify_theorem_1_2(ctx, cap=cap, workers=workers)
+def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int) -> None:
+    result = classify_theorem_1_2(ctx, cap=cap)
     document["types"] = [
         result.verdicts[halves].as_dict() for halves in sorted(result.verdicts)
     ]
@@ -293,8 +286,6 @@ def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int = 60, workers: 
             "psi_claimed": len(result.psi_certified) + len(result.psi_uncertified),
         },
     }
-    if result.survivors != sorted(SURVIVORS):
-        document["discrepancies"].append("survivor list differs from the expected six")
 
 
 def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: int = 40) -> None:
@@ -387,31 +378,30 @@ def _reproduce_bound(document: dict) -> None:
         document["discrepancies"].append("a candidate exceeds the finiteness bound")
 
 
-def cmd_reproduce(p: int, cap: int, workers: int, fmt: str,
-                  out: str | None, timing: bool, target: str):
+def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bool,
+                  target: str):
     """Regenerate a classification table and diff it against the expected values.
 
     Targets: thm1.1-demo, prop1..prop4, thm1.2, lemma3.4, adem, bound.
     """
     if target not in _REPRODUCE_TARGETS:
         raise UsageError(f"unknown target {target!r}; choose from {_REPRODUCE_TARGETS}")
-    if cap < p:
-        raise UsageError("cap must be at least p")
+    config = {"p": p, "format": fmt}
+    if target in _CAP_TARGETS:
+        cap = config["cap"] = 60 if cap is None else cap
+        if cap < p:
+            raise UsageError("cap must be at least p")
+    elif cap is not None:
+        raise UsageError(f"target {target} does not read --cap; only prop1..prop4 and thm1.2 do")
     if p != 3 and target != "thm1.1-demo":
         raise UsageError(f"target {target} is specific to p = 3")
     ctx = _prime_context(p)
-    document = _base_document(target, {"p": p, "format": fmt, "cap": cap, "workers": workers})
+    document = _base_document(target, config)
     start = time.perf_counter()
     if target.startswith("prop"):
-        case = int(target[4:])
-        full = _base_document(target, {"p": p, "format": fmt, "cap": cap, "workers": workers})
-        _reproduce_props(ctx, full, cap)
-        document["summary"] = {f"case{case}": full["summary"][f"case{case}"]}
-        document["discrepancies"] = [
-            d for d in full["discrepancies"] if d.startswith(f"case {case}")
-        ]
+        _reproduce_prop(ctx, document, int(target[4:]), cap)
     elif target == "thm1.2":
-        _reproduce_thm12(ctx, document, cap, workers)
+        _reproduce_thm12(ctx, document, cap)
     elif target == "thm1.1-demo":
         _reproduce_thm11_demo(ctx, document)
     elif target == "lemma3.4":
@@ -432,16 +422,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=1")
-    return value
 
 
 def _file_path(text: str) -> str:
@@ -494,10 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
     report_options(sub)
 
     sub = command("reproduce", cmd_reproduce)
-    sub.add_argument("--cap", type=int, default=60,
-                     help="Maximum half-degree for the candidate enumeration (default: 60).")
-    sub.add_argument("--workers", type=_positive_int, default=1,
-                     help="threads, at least 1 (default: 1)")
+    sub.add_argument("--cap", type=int,
+                     help="Maximum half-degree for the candidate enumeration of prop1..prop4 "
+                          "and thm1.2 (default: 60).")
     report_options(sub)
     sub.add_argument("--timing", action=argparse.BooleanOptionalAction, default=False,
                      help="Include wall-clock timing (breaks byte-for-byte determinism).")

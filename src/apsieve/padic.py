@@ -232,7 +232,8 @@ def multiplicative_order(k: int, p: int) -> int:
 class PrimeContext:
     """An odd prime with its cached primitive root modulo ``p**2``.
 
-    Immutable after construction and safe to share across workers.
+    Immutable after construction, so one context serves every type checked
+    at its prime.
     """
 
     p: int

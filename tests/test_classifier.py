@@ -165,10 +165,8 @@ def test_eliminated_verdicts_replay(ctx3):
     for halves, verdict in result.verdicts.items():
         if verdict.kind is not VerdictKind.ELIMINATED:
             continue
-        if verdict.certificate is None:
-            assert halves in result.psi_uncertified
-            continue
         cert = verdict.certificate
+        assert cert is not None, halves
         if "window" in cert:
             window = tuple(cert["window"])
             report = condition_report(enumerate_classes(SpaceType(ctx3, halves), window))
@@ -228,13 +226,17 @@ def test_exhaustive_policy_is_still_safe(ctx3):
         assert cert is not None and cert.replay()
 
 
-def test_classify_workers_match_serial(ctx3):
-    serial = classify_theorem_1_2(ctx3, workers=1)
-    parallel = classify_theorem_1_2(ctx3, workers=4)
-    assert serial.survivors == parallel.survivors
-    assert serial.psi_certified == parallel.psi_certified
-    assert serial.psi_uncertified == parallel.psi_uncertified
-    assert serial.steenrod_eliminated == parallel.steenrod_eliminated
+def test_batch_verdicts_equal_check_type(ctx3):
+    # the partition takes every verdict from check_type, trace included
+    result = classify_theorem_1_2(ctx3, cap=60)
+    assert len(result.verdicts) == 27
+    for halves, verdict in result.verdicts.items():
+        entry = verdict.as_dict()
+        assert entry == check_type(SpaceType(ctx3, halves)).as_dict(), halves
+        assert entry["trace"], halves
+    # the uncertified sieve claim keeps its honest verdict
+    assert result.verdicts[(2, 3, 9)].kind is VerdictKind.SURVIVES
+    assert result.verdicts[(2, 3, 9)].reason is None
 
 
 def test_lemma_failures_are_psi_certified(ctx3):

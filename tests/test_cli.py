@@ -40,7 +40,7 @@ def test_usage_errors_exit_2():
     (("check-type",), "HALVES"),
     (("adem", "--p", "3", "3"), "B"),
     (("nosuch",), "'nosuch'"),
-    (("reproduce", "--workers", "0", "bound"), "--workers"),
+    (("reproduce", "--workers", "2", "thm1.2"), "--workers"),
     (("check-type", "--win", "standard", "2,4,6"), "--win"),
     ((), "COMMAND"),
 ])
@@ -140,11 +140,20 @@ def test_thm11_demo_leaves_the_monomial_cache_alone():
     assert json.loads(res.output)["summary"] == {"gcd_failing_types_checked": 3584, "uncertified": []}
 
 
-def test_workers_below_one_is_a_usage_error():
-    for workers in ("0", "-3"):
-        res = run("reproduce", "--workers", workers, "thm1.2")
-        assert res.exit_code == 2, (workers, res.output)
-        assert "--workers" in res.output
+@pytest.mark.parametrize("target", ["thm1.1-demo", "lemma3.4", "adem", "bound"])
+def test_cap_on_a_target_that_does_not_read_it_is_a_usage_error(target):
+    res = run("reproduce", "--cap", "115", target)
+    assert res.exit_code == 2, res.output
+    assert res.output == f"Error: target {target} does not read --cap; only prop1..prop4 and thm1.2 do\n"
+
+
+def test_config_records_cap_only_where_read(shared_enumeration):
+    for target in ("thm1.1-demo", "lemma3.4", "adem", "bound"):
+        assert "cap" not in json.loads(run("reproduce", target).output)["config"], target
+    for args, cap in ((("prop2",), 60), (("--cap", "115", "prop2"), 115),
+                      (("thm1.2",), 60), (("--cap", "115", "thm1.2"), 115)):
+        doc = json.loads(run("reproduce", *args).output)
+        assert doc["config"] == {"p": 3, "format": "json", "cap": cap}, args
 
 
 def test_check_type_refuses_oversized_enumeration():
@@ -223,15 +232,6 @@ def test_reproduce_determinism():
     second = run("reproduce", "thm1.2")
     assert first.output == second.output
     assert first.exit_code == second.exit_code == 0
-
-
-def test_reproduce_workers_agree():
-    serial = run("reproduce", "thm1.2", "--workers", "1")
-    parallel = run("reproduce", "thm1.2", "--workers", "4")
-    doc_s = json.loads(serial.output)
-    doc_p = json.loads(parallel.output)
-    assert doc_s["summary"] == doc_p["summary"]
-    assert doc_s["types"] == doc_p["types"]
 
 
 def test_check_type_oracle_and_policy():
