@@ -156,6 +156,14 @@ def test_config_records_cap_only_where_read(shared_enumeration):
         assert doc["config"] == {"p": 3, "format": "json", "cap": cap}, args
 
 
+def test_workers_below_one_is_a_usage_error():
+    # --workers is no longer an option, so any count is refused as unknown
+    for workers in ("0", "-3"):
+        res = run("reproduce", "--workers", workers, "thm1.2")
+        assert res.exit_code == 2, (workers, res.output)
+        assert "--workers" in res.output
+
+
 def test_check_type_refuses_oversized_enumeration():
     halves = ",".join(str(m) for m in range(2, 22))
     res = run("check-type", "--p", "31", halves)
