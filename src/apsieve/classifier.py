@@ -135,6 +135,7 @@ class Verdict:
 class FilterResult:
     passed: bool
     detail: str
+    rule: int  # 1 for W1, 2 for W2
 
     def __bool__(self) -> bool:
         return self.passed
@@ -146,13 +147,13 @@ def wilkerson_filter_1(space: SpaceType) -> FilterResult:
     p = space.p
     m_r = space.halves[-1]
     if m_r <= p:
-        return FilterResult(True, f"vacuous: top degree {m_r} <= p")
+        return FilterResult(True, f"vacuous: top degree {m_r} <= p", 1)
     bound = val(space.ctx, m_r).value + 1
     for s in range(1, bound + 1):
         target = m_r - s * (p - 1)
         if target in space.halves:  # target < m_r, so this is a lower degree
-            return FilterResult(True, f"m_r - {target} = {s}*(p-1)")
-    return FilterResult(False, f"no degree in {{m_r - s*(p-1), s <= {bound}}}")
+            return FilterResult(True, f"m_r - {target} = {s}*(p-1)", 1)
+    return FilterResult(False, f"no degree in {{m_r - s*(p-1), s <= {bound}}}", 1)
 
 
 def wilkerson_filter_2(space: SpaceType) -> FilterResult:
@@ -166,9 +167,9 @@ def wilkerson_filter_2(space: SpaceType) -> FilterResult:
         companions = {k * m_i - p + 1 for k in range(1, p + 1)}
         if not companions & degrees:
             return FilterResult(
-                False, f"degree {m_i}: none of {sorted(companions)} present"
+                False, f"degree {m_i}: none of {sorted(companions)} present", 2
             )
-    return FilterResult(True, "all prime-to-p degrees have companions")
+    return FilterResult(True, "all prime-to-p degrees have companions", 2)
 
 
 @dataclass(frozen=True)
@@ -588,7 +589,7 @@ def endgame_rules(space: SpaceType) -> EndgameElimination | None:
 # ---------------------------------------------------------------------------
 
 
-def _case1_filter(space: SpaceType, s: int) -> tuple[bool, str]:
+def _case1_filter(space: SpaceType) -> tuple[bool, str]:
     ctx = space.ctx
     r, n, m = space.halves
     en = val(ctx, n).value
@@ -613,7 +614,7 @@ def _case1_filter(space: SpaceType, s: int) -> tuple[bool, str]:
     return True, "case1: low-degree branch, case conditions only"
 
 
-def _case2_filter(space: SpaceType, s: int) -> tuple[bool, str]:
+def _case2_filter(space: SpaceType) -> tuple[bool, str]:
     r, n, m = space.halves
     if r == n - 2 and m < 2 * n - 2 and n % 3 == 2:
         h = hemmi_forced(space, 0, n)
@@ -625,7 +626,7 @@ def _case2_filter(space: SpaceType, s: int) -> tuple[bool, str]:
     return True, "case2: companion branch, case conditions only"
 
 
-def _case3_filter(space: SpaceType, s: int) -> tuple[bool, str]:
+def _case3_filter(space: SpaceType) -> tuple[bool, str]:
     r, n, m = space.halves
     h_top = hemmi_forced(space, 0, m)
     if not (h_top.applicable and h_top.forced):
@@ -657,7 +658,7 @@ def _case3_filter(space: SpaceType, s: int) -> tuple[bool, str]:
     return True, f"case3: degree {target} realizable"
 
 
-def _case4_filter(space: SpaceType, t: int) -> tuple[bool, str]:
+def _case4_filter(space: SpaceType) -> tuple[bool, str]:
     r, n, m = space.halves
     if m > 3 * r:
         # m = r + 2t < 3t <= 3 e(m) + 3 cannot hold for any valid m
@@ -666,6 +667,34 @@ def _case4_filter(space: SpaceType, t: int) -> tuple[bool, str]:
 
 
 _CASE_FILTERS = {1: _case1_filter, 2: _case2_filter, 3: _case3_filter, 4: _case4_filter}
+
+
+@dataclass(frozen=True)
+class _CaseResult:
+    case: int
+    passed: bool
+    detail: str
+
+
+def _arithmetic_stages(space: SpaceType) -> FilterResult | _CaseResult | None:
+    """W1, W2, then the case split and its filter for a strictly increasing
+    rank-3 type at p = 3: the stages between the gcd test and the scripted
+    rules, shared by the enumeration and ``check_type``.  Returns W1's or
+    W2's result as it is when it fails (the enumeration's common path), else
+    the case filter's result, or ``None`` where no case split applies."""
+    w1 = wilkerson_filter_1(space)
+    if not w1.passed:
+        return w1
+    w2 = wilkerson_filter_2(space)
+    if not w2.passed:
+        return w2
+    if space.p != 3 or space.rank != 3 or len(set(space.halves)) != 3:
+        return None
+    tag = case_split(space)
+    if tag is None:  # pragma: no cover - unreachable after W1, see case_split
+        raise RuntimeError(f"internal error: {space} passes W1 but has no case")
+    keep, detail = _CASE_FILTERS[tag.case](space)
+    return _CaseResult(tag.case, keep, detail)
 
 
 def proposition_lists(ctx: PrimeContext | None = None, cap: int = 60) -> dict[int, list[tuple[int, ...]]]:
@@ -679,16 +708,9 @@ def proposition_lists(ctx: PrimeContext | None = None, cap: int = 60) -> dict[in
         space = SpaceType(ctx, (r, n, m))
         if not theorem_1_1_test(space).passed:
             continue
-        if not wilkerson_filter_1(space).passed:
-            continue
-        if not wilkerson_filter_2(space).passed:
-            continue
-        tag = case_split(space)
-        if tag is None:  # guard: unreachable after W1, see case_split
-            continue
-        keep, _detail = _CASE_FILTERS[tag.case](space, tag.s if tag.s else tag.t)
-        if keep:
-            lists[tag.case].append(space.halves)
+        stage = _arithmetic_stages(space)
+        if stage.passed:  # only a case filter's result can pass
+            lists[stage.case].append(space.halves)
     for case in lists:
         lists[case].sort()
     return lists
@@ -740,35 +762,21 @@ def check_type(
         )
     trace.append(f"gcd test passed (m = {gcd_res.m})")
 
-    w1 = wilkerson_filter_1(space)
-    if not w1.passed:
+    stage = _arithmetic_stages(space)
+    if isinstance(stage, FilterResult):
         return Verdict(
-            space, VerdictKind.ELIMINATED, reason="WilkersonFilter(1)",
-            certificate={"detail": w1.detail}, trace=trace + [w1.detail],
-        )
-    w2 = wilkerson_filter_2(space)
-    if not w2.passed:
-        return Verdict(
-            space, VerdictKind.ELIMINATED, reason="WilkersonFilter(2)",
-            certificate={"detail": w2.detail}, trace=trace + [w2.detail],
+            space, VerdictKind.ELIMINATED, reason=f"WilkersonFilter({stage.rule})",
+            certificate={"detail": stage.detail}, trace=trace + [stage.detail],
         )
     trace.append("difference filters passed")
 
-    if space.p == 3 and space.rank == 3 and len(set(space.halves)) == 3:
-        tag = case_split(space)
-        if tag is None:  # guard: unreachable after W1, see case_split
-            return Verdict(
-                space, VerdictKind.ELIMINATED, reason="PropositionArithmetic(case-split)",
-                certificate={"detail": "no case matches despite the filters"},
-                trace=trace + ["excluded by the case split"],
-            )
-        keep, detail = _CASE_FILTERS[tag.case](space, tag.s if tag.s else tag.t)
-        trace.append(f"case {tag.case} ({detail})")
-        if not keep:
+    if stage is not None:
+        trace.append(f"case {stage.case} ({stage.detail})")
+        if not stage.passed:
             return Verdict(
                 space, VerdictKind.ELIMINATED,
-                reason=f"PropositionArithmetic(case{tag.case})",
-                certificate={"detail": detail}, trace=trace,
+                reason=f"PropositionArithmetic(case{stage.case})",
+                certificate={"detail": stage.detail}, trace=trace,
             )
         elim = endgame_rules(space)
         if elim is not None:
@@ -798,7 +806,6 @@ def check_type(
 
 @dataclass
 class ClassificationResult:
-    case_lists: dict[int, list[tuple[int, ...]]]
     verdicts: dict[tuple[int, ...], Verdict]
     survivors: list[tuple[int, ...]]
     quasi_regular: list[tuple[int, ...]]
@@ -864,7 +871,6 @@ def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = 60) -> Clas
         )
 
     return ClassificationResult(
-        case_lists=lists,
         verdicts=verdicts,
         survivors=survivors,
         quasi_regular=qr,

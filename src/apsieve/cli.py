@@ -60,6 +60,8 @@ _REPRODUCE_TARGETS = (
 )
 # the targets that enumerate candidates, and so read --cap
 _CAP_TARGETS = ("prop1", "prop2", "prop3", "prop4", "thm1.2")
+# thm1.1-demo checks every type of rank <= 3 with half-degrees up to this
+_DEMO_TOP = 40
 
 
 class UsageError(Exception):
@@ -249,8 +251,6 @@ def cmd_bound(p: int, r: int, fmt: str, out: str | None):
     document["summary"] = {
         "monomials": bound.monomials,
         "min_half_degree": bound.min_half_degree,
-        "scan_horizon": bound.scan_horizon,
-        "breakpoints_checked": bound.breakpoints_checked,
     }
     _emit(document, fmt, out)
 
@@ -288,7 +288,7 @@ def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int) -> None:
     }
 
 
-def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: int = 40) -> None:
+def _reproduce_thm11_demo(ctx: PrimeContext, document: dict) -> None:
     p = ctx.p
     # the report's sums read only ctx and the class degrees, so each distinct
     # degree tuple is evaluated once; the witness is checked per type
@@ -296,7 +296,7 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: int = 40) -> N
     failures = []
     checked = 0
     for rank in (1, 2, 3):
-        for halves in combinations_with_replacement(range(2, cap + 1), rank):
+        for halves in combinations_with_replacement(range(2, _DEMO_TOP + 1), rank):
             if (p - 1) % low_degree_gcd(p, halves) == 0:
                 continue
             checked += 1
@@ -489,9 +489,15 @@ _PARSER = _build_parser()
 
 def _run(argv) -> int:
     try:
-        args = vars(_PARSER.parse_args(argv))
+        namespace, extras = _PARSER.parse_known_args(argv)
     except SystemExit as exc:  # ``--help`` exits after printing the help text
         return exc.code
+    if extras:
+        # an unknown option's value lands in a positional slot, pushing the
+        # real positional into the extras, so name only the option tokens
+        unknown = [a for a in extras if a.startswith("-")] or extras
+        raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
+    args = vars(namespace)
     handler = args.pop("handler")
     return handler(**args) or 0
 

@@ -7,9 +7,9 @@ each per-pair valuation is at most ``log_p(2*(p-1)*m) + 1``.  Once
     N(p, r) * (floor(log_p(2*(p-1)*m)) + 1) < m
 
 every type with top half-degree m is eliminated by the sieve, so only
-finitely many candidates exist.  ``rank_bound`` makes the threshold
-effective with a brute scan plus a breakpoint check of the logarithmic
-tail.
+finitely many candidates exist.  ``rank_bound`` computes the exact
+threshold by walking the log levels of the left side, on each of which it
+is constant.
 """
 
 from __future__ import annotations
@@ -45,38 +45,29 @@ class FinitenessBound:
     r: int
     monomials: int
     min_half_degree: int
-    scan_horizon: int
-    breakpoints_checked: int
 
     def inequality_holds(self, m: int) -> bool:
         return self.monomials * (_ilog(self.p, 2 * (self.p - 1) * m) + 1) < m
 
 
-def rank_bound(p: int, r: int, scan_limit: int = 10_000) -> FinitenessBound:
+def rank_bound(p: int, r: int) -> FinitenessBound:
     """Minimal M0 such that ``N * (floor(log_p(2(p-1)m)) + 1) < m`` for all
     ``m >= M0``.
 
-    The scan finds the last failure below ``scan_limit``; beyond the scan
-    the left side only changes at the breakpoints ``m ~ p**k / (2(p-1))``,
-    which are verified for a long stretch of k (the left side is linear in
-    k against an exponential right side, so the slack is monotone there).
+    On log level k, where ``floor(log_p(2(p-1)m)) = k``, m runs over
+    ``[ceil(p**k / 2(p-1)), ceil(p**(k+1) / 2(p-1)) - 1]`` and the left side
+    is the constant ``N * (k + 1)``, so the level's last failure is
+    ``min(level end, N * (k + 1))``.  The walk stops at the first level whose
+    start exceeds ``N * (k + 1)``: from there ``p**(k+1) / 2(p-1) > p * N *
+    (k + 1) >= N * (k + 2)``, so no later level fails either.
     """
+    if p < 2:
+        raise ValueError("p must be at least 2")
     n = monomial_count(p, r)
+    d = 2 * (p - 1)
     last_failure = 0
-    for m in range(1, scan_limit + 1):
-        if not n * (_ilog(p, 2 * (p - 1) * m) + 1) < m:
-            last_failure = m
-    m0 = last_failure + 1
-    # tail: at the first m of each log-level k, the inequality reads
-    # N * (k + 1) < ceil(p**k / (2*(p-1))); check a long run of levels
-    k = _ilog(p, 2 * (p - 1) * scan_limit) + 1
-    checked = 0
-    for level in range(k, k + 64):
-        first_m = -(-(p**level) // (2 * (p - 1)))  # ceil division
-        if not n * (level + 1) < first_m:  # pragma: no cover - would be a real failure
-            raise AssertionError(f"tail breakpoint failure at level {level}")
-        checked += 1
-    return FinitenessBound(
-        p=p, r=r, monomials=n, min_half_degree=m0,
-        scan_horizon=scan_limit, breakpoints_checked=checked,
-    )
+    k, q = 0, 1  # q = p**k
+    while -(-q // d) <= n * (k + 1):  # the level starts at ceil(q / d)
+        last_failure = min(-(-q * p // d) - 1, n * (k + 1))
+        k, q = k + 1, q * p
+    return FinitenessBound(p=p, r=r, monomials=n, min_half_degree=last_failure + 1)

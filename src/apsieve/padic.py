@@ -29,7 +29,7 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
@@ -208,7 +208,9 @@ def primitive_root_mod_p2(p: int) -> int:
         raise ValueError("an odd prime is required")
     p2 = p * p
     order = p * (p - 1)
-    factors = prime_factors(order)
+    # the primes dividing p * (p - 1): p itself and those of p - 1, factored
+    # alone so that a large prime p costs a trial division up to sqrt(p)
+    factors = prime_factors(p - 1) + [p]
     k = 2
     while True:
         if k % p != 0 and all(pow(k, order // q, p2) != 1 for q in factors):
@@ -237,22 +239,12 @@ class PrimeContext:
     """
 
     p: int
-    k0: int = 0
+    k0: int = field(init=False)
 
     def __post_init__(self):
         if self.p < 3 or not is_prime(self.p):
             raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
-        if self.k0 == 0:
-            object.__setattr__(self, "k0", primitive_root_mod_p2(self.p))
-        else:
-            # Accept an explicit k0 only if it really has full order.
-            p2 = self.p * self.p
-            order = self.p * (self.p - 1)
-            ok = self.k0 % self.p != 0 and all(
-                pow(self.k0, order // q, p2) != 1 for q in prime_factors(order)
-            )
-            if not ok:
-                raise ValueError(f"{self.k0} is not a primitive root mod {p2}")
+        object.__setattr__(self, "k0", primitive_root_mod_p2(self.p))
 
 
 def _val_int(p: int, n: int) -> int:

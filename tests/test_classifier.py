@@ -28,7 +28,7 @@ from apsieve.classifier import (
     SURVIVORS,
     VerdictKind,
 )
-from apsieve.psimod import condition_report, enumerate_classes
+from apsieve.psimod import condition_report, enumerate_classes, theorem_1_1_test
 
 
 def test_wilkerson_filter_1(ctx3):
@@ -64,6 +64,24 @@ def test_every_w1_passing_triple_has_a_case(ctx3):
             passing += 1
             assert case_split(space) is not None, halves
     assert passing == 2432
+
+
+def test_proposition_lists_agree_with_check_type(ctx3):
+    # one stage chain: a gcd-passing triple is kept exactly when check_type
+    # gets past W1, W2 and the case filter, and in the case its trace names
+    kept = {halves: case for case, types in proposition_lists(ctx3).items() for halves in types}
+    checked = 0
+    for halves in combinations(range(2, 61), 3):
+        space = SpaceType(ctx3, halves)
+        if not theorem_1_1_test(space).passed:
+            continue
+        checked += 1
+        verdict = check_type(space)
+        arithmetic = (verdict.reason or "").startswith(("WilkersonFilter", "PropositionArithmetic"))
+        assert (halves in kept) == (not arithmetic), (halves, verdict.reason)
+        if halves in kept:
+            assert f"case {kept[halves]} (" in verdict.trace[2], (halves, verdict.trace)
+    assert checked == 21978 and len(kept) == 27
 
 
 def test_lemma_4_3(ctx3):

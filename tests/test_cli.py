@@ -51,6 +51,16 @@ def test_parser_usage_errors(args, message):
     assert message in res.output
 
 
+def test_unknown_option_names_only_the_option():
+    # the option's value takes the TARGET slot, pushing the real target out;
+    # the message names the option alone, not the target
+    for args in (("reproduce", "--workers", "2", "thm1.2"), ("reproduce", "thm1.2", "--workers", "2")):
+        res = run(*args)
+        assert res.exit_code == 2
+        assert res.output == "Error: unrecognized arguments: --workers\n"
+    assert run("reproduce", "thm1.2", "extra").output == "Error: unrecognized arguments: extra\n"
+
+
 def test_out_naming_a_directory_is_a_usage_error(tmp_path):
     res = run("check-type", "--out", str(tmp_path), "2,4,6")
     assert res.exit_code == 2

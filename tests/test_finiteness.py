@@ -1,5 +1,24 @@
+import json
+
+import pytest
+
 from apsieve import SpaceType, condition_report, enumerate_classes, monomial_count, rank_bound
 from apsieve.finiteness import _ilog
+
+from conftest import invoke
+
+
+def _brute_min_half_degree(p: int, r: int, horizon: int) -> int:
+    """One more than the last m <= horizon where the inequality fails."""
+    n = monomial_count(p, r)
+    last_failure = 0
+    for m in range(1, horizon + 1):
+        k = 0
+        while p ** (k + 1) <= 2 * (p - 1) * m:
+            k += 1
+        if not n * (k + 1) < m:
+            last_failure = m
+    return last_failure + 1
 
 
 def test_monomial_count_examples():
@@ -46,3 +65,36 @@ def test_all_candidates_below_bound(ctx3):
     tops = [t[-1] for t in PROP_CASE1 + PROP_CASE2 + PROP_CASE3 + PROP_CASE4]
     assert max(tops) == 45
     assert max(tops) < bound.min_half_degree
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_rank_bound_matches_brute_scan(p):
+    # the scan runs to 4 * M0 + 100, past the next log level at every (p, r) here
+    for r in range(1, 7):
+        m0 = rank_bound(p, r).min_half_degree
+        assert m0 == _brute_min_half_degree(p, r, 4 * m0 + 100), (p, r)
+
+
+@pytest.mark.parametrize("p, r, m0", [
+    (3, 3, 115), (3, 4, 239), (5, 3, 276),
+    # thresholds past m = 10,000, pinned from a one-off brute scan to 2e6
+    (3, 17, 11391), (3, 20, 19471), (3, 40, 160421), (5, 9, 16009), (7, 6, 12006),
+])
+def test_rank_bound_pinned(p, r, m0):
+    bound = rank_bound(p, r)
+    assert bound.min_half_degree == m0
+    assert not bound.inequality_holds(m0 - 1)
+    assert all(bound.inequality_holds(m) for m in range(m0, m0 + 2000))
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+def test_rank_bound_refuses_p_below_2(p):
+    # the level walk needs p**k to grow; p = 0 would never stop
+    with pytest.raises(ValueError):
+        rank_bound(p, 3)
+
+
+def test_bound_command_at_rank_40():
+    res = invoke(["bound", "--p", "3", "--rank", "40"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["summary"] == {"monomials": 12340, "min_half_degree": 160421}

@@ -104,6 +104,19 @@ def test_primitive_roots():
         primitive_root_mod_p2(9)
 
 
+def test_primitive_root_of_a_large_prime():
+    # (p - 1) / 2 = 500,000,003 is prime: only p - 1 is trial-divided, never p * (p - 1)
+    assert PrimeContext(1_000_000_007).k0 == 5
+
+
+def test_primitive_root_mod_p_that_fails_mod_p2():
+    # 5 generates (Z/40487)^* but 5**(p-1) = 1 mod p**2, so the order test
+    # must include the factor p of p * (p - 1)
+    p = 40487
+    assert multiplicative_order(5, p) == p - 1 and pow(5, p - 1, p * p) == 1
+    assert primitive_root_mod_p2(p) == 10
+
+
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_primitive_root_has_full_order(p):
     ctx = PrimeContext(p)
