@@ -21,10 +21,12 @@ __all__ = ["FinitenessBound", "monomial_count", "rank_bound"]
 
 
 def monomial_count(p: int, r: int) -> int:
-    """Number of non-constant monomials of word-length <= p in r variables."""
+    """Number of non-constant monomials of word-length <= p in r variables:
+    ``sum_{l=1}^{p} C(r+l-1, l) = C(r+p, p) - 1`` (hockey-stick identity), in
+    closed form so that a large p costs no loop over the word lengths."""
     if r < 1:
         raise ValueError("rank must be at least 1")
-    return sum(comb(r + l - 1, l) for l in range(1, p + 1))
+    return comb(r + p, p) - 1
 
 
 def _ilog(p: int, x: int) -> int:

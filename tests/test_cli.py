@@ -4,11 +4,20 @@ import math
 import os
 import subprocess
 import sys
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from apsieve import classifier, cli
+from apsieve import (
+    PrimeContext,
+    SpaceType,
+    classifier,
+    cli,
+    condition_report,
+    enumerate_classes,
+    theorem_1_1_test,
+)
 from apsieve.cli import main
 
 from conftest import invoke
@@ -150,6 +159,54 @@ def test_thm11_demo_leaves_the_monomial_cache_alone():
     assert json.loads(res.output)["summary"] == {"gcd_failing_types_checked": 3584, "uncertified": []}
 
 
+def _reference_thm11_demo(p):
+    """The demo's summary by one module and one report per type: every
+    gcd-failing type of rank <= 3 up to 40 on its full bottom window."""
+    ctx = PrimeContext(p)
+    checked = 0
+    failures = []
+    for rank in (1, 2, 3):
+        for halves in combinations_with_replacement(range(2, 41), rank):
+            space = SpaceType(ctx, halves)
+            if theorem_1_1_test(space).passed:
+                continue
+            checked += 1
+            module = enumerate_classes(space, (halves[0], p * halves[0]))
+            if not (condition_report(module).holds_everywhere and halves[0] in module.witnesses):
+                failures.append(list(halves))
+    return {"gcd_failing_types_checked": checked, "uncertified": failures}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_thm11_demo_matches_per_type_reference(p):
+    res = run("reproduce", "--p", str(p), "thm1.1-demo")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["summary"] == _reference_thm11_demo(p)
+
+
+def test_thm11_demo_builds_one_module_per_low_part(monkeypatch):
+    # 3,584 gcd-failing types share 701 low parts and 247 degree tuples
+    calls = {"enumerate_classes": 0, "condition_report": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(cli, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(cli, name, counted)
+    res = run("reproduce", "thm1.1-demo")
+    assert res.exit_code == 0
+    assert calls == {"enumerate_classes": 701, "condition_report": 247}
+
+
+@pytest.mark.parametrize("p", ["83", "1000000007"])
+def test_thm11_demo_refuses_a_prime_over_the_monomial_budget(p, capsys):
+    # the rank-3 algebra at p = 83 has 102,339 monomials; p = 79 (88,559) runs
+    assert main(["reproduce", "--p", p, "thm1.1-demo"], standalone_mode=False) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Error: target thm1.1-demo: ") and captured.err.count("\n") == 1
+    assert f"at p = {p}, rank 3 exceed the enumeration budget" in captured.err
+
+
 @pytest.mark.parametrize("target", ["thm1.1-demo", "lemma3.4", "adem", "bound"])
 def test_cap_on_a_target_that_does_not_read_it_is_a_usage_error(target):
     res = run("reproduce", "--cap", "115", target)
@@ -179,6 +236,9 @@ def test_check_type_refuses_oversized_enumeration():
     res = run("check-type", "--p", "31", halves)
     assert res.exit_code == 2
     assert "budget" in res.output
+    # the monomial count is a closed form, so a huge prime is refused at once
+    res = run("check-type", "--p", "1000000007", "2,3")
+    assert res.exit_code == 2 and "budget" in res.output
 
 
 def test_adem_command():

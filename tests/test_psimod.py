@@ -396,6 +396,38 @@ def test_condition_report_reads_only_the_degrees(ctx3):
     assert condition_report(a).per_class == condition_report(b).per_class
 
 
+@pytest.mark.parametrize("p, counts", [
+    (3, (3584, 701, 247)),
+    (5, (1615, 730, 218)),
+    (7, (778, 549, 127)),
+])
+def test_bottom_window_reads_only_the_low_part(p, counts):
+    # generators above p*m_1 reach no degree in [m_1, p*m_1], so every
+    # gcd-failing type of rank <= 3 up to 40 and its low part (the
+    # half-degrees <= p*m_1) have the same bottom-window classes, and m_1,
+    # with m_1 and p*m_1 both in the window, is a witness of each
+    ctx = PrimeContext(p)
+    low_classes = {}
+    types = 0
+    for rank in (1, 2, 3):
+        for halves in combinations_with_replacement(range(2, 41), rank):
+            space = SpaceType(ctx, halves)
+            if theorem_1_1_test(space).passed:
+                continue
+            types += 1
+            window = (halves[0], p * halves[0])
+            low = tuple(m for m in halves if m <= p * halves[0])
+            if low not in low_classes:
+                low_module = enumerate_classes(SpaceType(ctx, low), window)
+                assert halves[0] in low_module.witnesses, low
+                low_classes[low] = low_module.classes
+            module = enumerate_classes(space, window)
+            assert module.classes == low_classes[low], halves
+            assert halves[0] in module.witnesses, halves
+    degree_tuples = {tuple(t for t, _ in classes) for classes in low_classes.values()}
+    assert (types, len(low_classes), len(degree_tuples)) == counts
+
+
 def test_monomial_degree_multiplicities_match_reference():
     spaces = []
     for p, rank, top in ((3, 4, 12), (5, 3, 12), (7, 2, 20)):
