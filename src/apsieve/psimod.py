@@ -17,8 +17,14 @@ at class ``t_i`` is ``v_i < t_i``; when it holds at every class and the
 window contains a witness generator (``m_j`` with ``m_j`` and ``p * m_j``
 both inside the window, so that its p-th power survives), the type cannot
 carry the multiplicative structure under investigation and is certified
-eliminated.  Every ``nu`` value these sums need is a lookup into one
-per-prime table (:func:`apsieve.padic.nu_table`).
+eliminated.
+
+The window search (:func:`eliminate_by_psi`) scores its windows with one
+forward sweep over the runs of the full module's classes, reading ``nu``
+from one per-prime table (:func:`apsieve.padic.nu_table`).  The report that
+certifies a window (:func:`condition_report`) re-checks it by another
+route: it counts, per level ``(p - 1) * p**f``, the classes in each residue
+class, and corrects the few pairs whose smaller degree caps ``nu``.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import gcd
 
 from .finiteness import monomial_count
@@ -216,45 +222,59 @@ class ConditionReport:
 def condition_report(module: PsiModule) -> ConditionReport:
     """Evaluate the divisibility condition on every class of ``module``.
 
-    Both per-class sums are read from the per-prime table of
-    :func:`~apsieve.padic.nu_table`: for a class ``t_i`` and another class
-    ``t_j``, ``nu_bound`` adds ``nu(|t_i - t_j|)`` and ``valuation_sum`` adds
-    ``pair_min(t_i, t_j) = min(nu(|t_i - t_j|), min(t_i, t_j))``.  Since
-    ``nu(d)`` is 0 unless ``(p - 1) | d``, only classes in the residue class
-    of ``t_i`` mod ``p - 1`` add anything, so each class sums over its own
-    residue group alone.  The report is computed from the module alone, so
-    it re-checks a window the search scored from its own prefix table.
+    The sums are counted by level rather than by pair.  ``nu(d)`` is the
+    number of moduli ``(p - 1) * p**f`` dividing ``d``, so ``nu_bound`` of a
+    class ``t_i``, the sum of ``nu(|t_i - t_j|)`` over the other classes, is
+    the sum over levels of (the number of classes congruent to ``t_i`` mod
+    that level's modulus) - 1.  Only the ``L`` levels whose modulus is at
+    most the module's span can hold two classes.  ``valuation_sum`` adds
+    ``pair_min(t_i, t_j) = min(nu(|t_i - t_j|), min(t_i, t_j))`` instead,
+    and since ``nu <= L`` on every pair the two sums differ only on pairs
+    whose smaller degree is below ``L``; those pairs are corrected one by
+    one.  The report reads nothing but the module's degrees, in any order,
+    so it re-checks a window by a route independent of the search's run
+    sweep.
     """
     degrees = module.degrees()
     if len(degrees) < 2:
         raise ValueError("condition_report needs at least 2 classes")
     if len(set(degrees)) != len(degrees):
         raise ValueError("class degrees must be pre-merged (duplicates found)")
-    ordered = sorted(degrees)
-    nu = nu_table(module.space.ctx, ordered[-1] - ordered[0])
-    q = module.space.p - 1
-    groups: dict[int, list[int]] = {}
-    for t in ordered:
-        groups.setdefault(t % q, []).append(t)
-    conditions = []
-    all_pass = True
-    for t_i in degrees:
-        group = groups[t_i % q]
-        k = bisect_left(group, t_i)
-        # below t_i the smaller degree is t_j, above it t_i
-        below = [nu[t_i - t_j] for t_j in group[:k]]
-        above = [nu[t_j - t_i] for t_j in group[k + 1:]]
-        b = sum(below) + sum(above)
-        v = (sum([n if n < t_j else t_j for n, t_j in zip(below, group)])
-             + sum([n if n < t_i else t_i for n in above]))
-        ok = v < t_i
-        all_pass = all_pass and ok
-        conditions.append(ClassCondition(degree=t_i, valuation_sum=v, nu_bound=b, passes=ok))
+    lowest = min(degrees)
+    span = max(degrees) - lowest
+    p = module.space.p
+    nu_bound = dict.fromkeys(degrees, 0)
+    modulus, levels = p - 1, 0
+    while modulus <= span:
+        residues = [t % modulus for t in degrees]
+        counts: dict[int, int] = {}
+        for r in residues:
+            counts[r] = counts.get(r, 0) + 1
+        for t, r in zip(degrees, residues):
+            nu_bound[t] += counts[r] - 1
+        modulus *= p
+        levels += 1
+    valuation_sum = dict(nu_bound)
+    if lowest < levels:
+        nu = nu_table(module.space.ctx, span)
+        for s in degrees:
+            if s >= levels:
+                continue
+            # s is the smaller degree of each pair it forms with a larger class
+            for t in degrees:
+                if t > s and (excess := nu[t - s] - s) > 0:
+                    valuation_sum[s] -= excess
+                    valuation_sum[t] -= excess
+    conditions = tuple(
+        ClassCondition(degree=t, valuation_sum=valuation_sum[t], nu_bound=nu_bound[t],
+                       passes=valuation_sum[t] < t)
+        for t in degrees
+    )
     witness = module.witnesses[0] if module.witnesses else None
     return ConditionReport(
         module=module,
-        per_class=tuple(conditions),
-        holds_everywhere=all_pass,
+        per_class=conditions,
+        holds_everywhere=all(c.passes for c in conditions),
         witness_used=witness,
     )
 
@@ -284,28 +304,48 @@ class PsiCertificate:
         }
 
 
-def _pair_min_prefix_sums(ctx: PrimeContext, degrees: list[int]) -> list[list[int]]:
-    """Row prefix sums ``S[i][j] = sum_{k < j, k != i} pair_min(t_i, t_k)``
-    for sorted distinct ``degrees``, read from the nu table: for ``k < i``,
-    ``pair_min(t_k, t_i) = min(nu[t_i - t_k], t_k)``.  A pair whose degrees
-    differ mod ``p - 1`` has ``nu = 0``, so row ``i`` gets a value only at
-    the positions of its own residue group and is 0 elsewhere."""
+def _run_reaches(ctx: PrimeContext, degrees: list[int]):
+    """For each low end ``a`` of the sorted distinct ``degrees`` in turn,
+    yield ``reach(a)``, the largest ``b`` such that every class of the run
+    ``t_a .. t_{b-1}`` has its valuation sum over the run below its degree.
+
+    Every ``pair_min`` is >= 0, so a sub-run of a passing run passes, and
+    ``reach`` never decreases: the sweep moves both ends forward only,
+    keeping each class's headroom (degree minus valuation sum over the
+    run).  ``nu(d) = 0`` unless ``(p - 1) | d``, so each residue group mod
+    ``p - 1`` keeps its part of the run as a slice ``[lo, hi)`` of its
+    degrees, and the sweep costs O(n * g) pair updates for groups of size
+    g.  It adds ``nu`` uncapped: a pair whose ``nu`` reaches its smaller
+    degree ``u`` alone gives ``u`` a sum of ``u``, so that run fails with
+    the cap or without it."""
+    q = ctx.p - 1
     nu = nu_table(ctx, degrees[-1] - degrees[0])
+    members: dict[int, list[int]] = {}
+    for t in degrees:
+        members.setdefault(t % q, []).append(t)
+    # residue -> [degrees, headroom, lo, hi]; headroom is read only in [lo, hi)
+    groups = {r: [ts, [0] * len(ts), 0, 0] for r, ts in members.items()}
     n = len(degrees)
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for k, t in enumerate(degrees):
-        groups.setdefault(t % (ctx.p - 1), []).append((k, t))
-    prefix: list = [None] * n
-    for group in groups.values():
-        for pos, (i, t_i) in enumerate(group):
-            row = [0] * (n + 1)
-            # the smaller degree of a pair caps its minimum
-            for k, t in group[:pos]:
-                row[k + 1] = v if (v := nu[t_i - t]) < t else t
-            for k, t in group[pos + 1:]:
-                row[k + 1] = v if (v := nu[t - t_i]) < t_i else t_i
-            prefix[i] = list(accumulate(row))
-    return prefix
+    b = 0
+    for t_a in degrees:
+        while b < n:
+            t = degrees[b]
+            group = groups[t % q]
+            ts, room, lo, hi = group
+            cost = [nu[t - u] for u in ts[lo:hi]]
+            left = [h - c for h, c in zip(room[lo:hi], cost)]
+            total = sum(cost)
+            if total >= t or (left and min(left) <= 0):
+                break
+            room[lo:hi] = left
+            room[hi] = t - total
+            group[3] = hi + 1
+            b += 1
+        yield b
+        ts, room, lo, hi = group = groups[t_a % q]
+        for j in range(lo + 1, hi):
+            room[j] += nu[ts[j] - t_a]
+        group[2] = lo + 1
 
 
 def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertificate | None:
@@ -325,18 +365,16 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     so a certificate from it is not trusted.
 
     Every window is a contiguous run ``t_a .. t_{b-1}`` of the full
-    module's sorted class degrees, so the search scores windows from one
-    table of row prefix sums ``S[i][j] = sum_{k < j, k != i}
-    pair_min(t_i, t_k)``, built once per call: class ``i`` of window
-    ``[a, b)`` has valuation sum ``S[i][b] - S[i][a]``.  The rows are
-    lookups into the per-prime table of :func:`~apsieve.padic.nu_table`,
-    with no function call per pair, and since ``nu(d) = 0`` unless
-    ``(p - 1) | d`` each row is filled only within its class's residue
-    group mod ``p - 1``; the window scan itself is unchanged.  A window with at least two classes
-    that passes these filters counts towards ``windows_tried``.  Only the
-    first window whose every class passes is rebuilt with
-    :func:`enumerate_classes` and :func:`condition_report`, which produce
-    the certificate's report from the module alone, without this table; if
+    module's sorted class degrees, and its classes all pass exactly when
+    ``b <= reach(a)``, which one forward sweep over the runs supplies for
+    each ``D_lo`` in turn (see :func:`_run_reaches`).  So each window, in
+    the order above, costs one bisect for ``b`` and one comparison, and
+    the witness test is one bisect over the half-degrees per ``D_lo``.  A
+    window with at least two classes that passes these filters counts
+    towards ``windows_tried``.  Only the first window whose every class
+    passes is rebuilt with :func:`enumerate_classes` and
+    :func:`condition_report`, which produce the certificate's report from
+    the module alone, by level counts rather than the sweep's run sums; if
     that report does not hold everywhere the scoring is wrong and
     ``RuntimeError`` is raised, so an unverified window is never returned.
 
@@ -347,27 +385,30 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
         raise ValueError(f"unknown window policy {policy!r}")
     degrees = [t for t, _ in monomial_degree_multiplicities(space)]
     p = space.p
-    tops = {p * m for m in space.halves}
+    halves = space.halves
+    tops = {p * m for m in halves}
     if policy == "exhaustive":
         tops.update(degrees)
     tops = sorted(tops, reverse=True)
-    bottom_window = (degrees[0], p * space.halves[0])
+    bottom_window = (degrees[0], p * halves[0])
     bottom_gated = theorem_1_1_test(space).passed
-    prefix = _pair_min_prefix_sums(space.ctx, degrees)
     tried = 0
-    for a, d_lo in enumerate(degrees):
+    for a, (d_lo, reach) in enumerate(zip(degrees, _run_reaches(space.ctx, degrees))):
+        w = bisect_left(halves, d_lo)
+        if w == len(halves):
+            break  # no generator at or above D_lo, here or further up
+        # the smallest witness candidate has the smallest p-th power
+        lowest_top = p * halves[w]
         for d_hi in tops:
-            if d_hi < d_lo:
-                continue
-            if not any(m >= d_lo and p * m <= d_hi for m in space.halves):
-                continue
+            if d_hi < lowest_top:
+                break
             if bottom_gated and (d_lo, d_hi) == bottom_window:
                 continue
             b = bisect_right(degrees, d_hi)
             if b - a < 2:
-                continue
+                break
             tried += 1
-            if all(prefix[i][b] - prefix[i][a] < degrees[i] for i in range(a, b)):
+            if b <= reach:
                 report = condition_report(enumerate_classes(space, (d_lo, d_hi)))
                 if not report.holds_everywhere:
                     raise RuntimeError(

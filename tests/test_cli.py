@@ -268,6 +268,13 @@ def test_check_type_json():
     assert entry["certificate"]["window"] == [21, 81]
     assert entry["certificate"]["windows_tried"] == 7
 
+    for args, window, tried in (
+        (("--window-policy", "exhaustive", "2,12,57,59"), [12, 118], 77),
+        (("--p", "5", "--window-policy", "exhaustive", "2,50,54"), [50, 270], 65),
+    ):
+        certificate = json.loads(run("check-type", *args).output)["types"][0]["certificate"]
+        assert (certificate["window"], certificate["windows_tried"]) == (window, tried), args
+
 
 def test_check_type_markdown():
     res = run("check-type", "--p", "3", "2,4,6", "--format", "markdown")

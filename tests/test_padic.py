@@ -19,7 +19,7 @@ from apsieve import (
 )
 from apsieve import padic
 from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int, multiplicative_order, nu_table
-from apsieve.psimod import _pair_min_prefix_sums
+from apsieve.psimod import _run_reaches
 
 from conftest import bigint_val
 
@@ -268,12 +268,22 @@ def test_nu_table_not_built_at_import():
     p=st.sampled_from([3, 5, 7]),
     degrees=st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=30, unique=True),
 )
-def test_pair_min_rows_from_table(p, degrees):
+def test_run_reaches_from_table(p, degrees):
+    # the sweep's run sums, read from the nu table, against per-pair sums:
+    # reach(a) is the end of the longest run from a whose every class has
+    # its pair-minimum sum over the run below its degree
     ctx = PrimeContext(p)
     degrees.sort()
-    prefix = _pair_min_prefix_sums(ctx, degrees)
-    for i, t_i in enumerate(degrees):
-        sums = [0]
-        for j, t_j in enumerate(degrees):
-            sums.append(sums[-1] + (0 if j == i else _pair_min_int(ctx, t_i, t_j)))
-        assert prefix[i] == sums
+
+    def holds(a, b):
+        run = degrees[a:b]
+        return all(sum(_pair_min_int(ctx, t_i, t_j) for t_j in run if t_j != t_i) < t_i
+                   for t_i in run)
+
+    expected = []
+    for a in range(len(degrees)):
+        b = a + 1
+        while b < len(degrees) and holds(a, b + 1):
+            b += 1
+        expected.append(b)
+    assert list(_run_reaches(ctx, degrees)) == expected

@@ -3,6 +3,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from apsieve import (
     PrimeContext,
@@ -236,7 +237,9 @@ def _reference_holds(module):
 def _reference_search(space, policy):
     """The window search with every window checked per pair and the first
     passing one reported by ``_reference_report``: same window order and
-    filters as ``eliminate_by_psi``, no shared table."""
+    filters as ``eliminate_by_psi``, no run sweep.  Returns the window, the
+    witness, the report and the number of windows with at least two classes
+    that passed the filters, the certifying one included."""
     degrees = [t for t, _ in monomial_degree_multiplicities(space)]
     p = space.p
     tops = {p * m for m in space.halves}
@@ -246,6 +249,7 @@ def _reference_search(space, policy):
     bottom_window = (degrees[0], p * space.halves[0])
     bottom_gated = theorem_1_1_test(space).passed
     full = _reference_multiplicities(space)
+    tried = 0
     for d_lo in degrees:
         for d_hi in tops:
             if d_hi < d_lo:
@@ -258,9 +262,16 @@ def _reference_search(space, policy):
             assert module.classes == _reference_classes(full, (d_lo, d_hi)), (space, d_lo, d_hi)
             if len(module.classes) < 2:
                 continue
+            tried += 1
             if _reference_holds(module):
-                return (d_lo, d_hi), module.witnesses[0], _reference_report(module)
+                return (d_lo, d_hi), module.witnesses[0], _reference_report(module), tried
     return None
+
+
+def _certificate_fields(cert):
+    if cert is None:
+        return None
+    return cert.window, cert.witness, cert.report.as_dict(), cert.windows_tried
 
 
 def _passes_filters(space):
@@ -275,8 +286,7 @@ def _assert_matches_reference(spaces):
     for space in spaces:
         for policy in ("standard", "exhaustive"):
             cert = eliminate_by_psi(space, policy)
-            got = None if cert is None else (cert.window, cert.witness, cert.report.as_dict())
-            assert got == _reference_search(space, policy), (space.halves, policy)
+            assert _certificate_fields(cert) == _reference_search(space, policy), (space.halves, policy)
 
 
 def test_window_search_matches_reference_p3(ctx3):
@@ -342,7 +352,53 @@ def test_classes_in_distinct_residues_sum_to_zero():
     assert report.as_dict() == _reference_report(module)
     assert all(c.valuation_sum == c.nu_bound == 0 for c in report.per_class)
     assert report.holds_everywhere
-    assert psimod._pair_min_prefix_sums(ctx7, [2, 3, 4, 5]) == [[0] * 5] * 4
+    # the search's sweep sees the same zero run sums: every run passes, so
+    # each low end reaches the last class
+    assert list(psimod._run_reaches(ctx7, [2, 3, 4, 5])) == [4, 4, 4, 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    halves=st.lists(st.integers(min_value=2, max_value=16), min_size=1, max_size=3).map(sorted),
+    data=st.data(),
+)
+def test_failing_run_fails_when_grown(p, halves, data):
+    # every pair_min is >= 0, so a failing run [a, b) of the full module's
+    # classes still fails as [a, b + 1) and [a - 1, b); the search's sweep
+    # rests on this.  From a drawn low end the passing runs are a prefix of
+    # the ends, and towards a drawn end a prefix of the low ends
+    space = SpaceType(PrimeContext(p), tuple(halves))
+    degrees = [t for t, _ in monomial_degree_multiplicities(space)]
+    n = len(degrees)
+
+    def holds(lo, hi):
+        return _reference_holds(enumerate_classes(space, (degrees[lo], degrees[hi - 1])))
+
+    a = data.draw(st.integers(min_value=0, max_value=n - 1))
+    grown_up = [holds(a, b) for b in range(a + 1, n + 1)]
+    assert grown_up == sorted(grown_up, reverse=True)
+    b = data.draw(st.integers(min_value=1, max_value=n))
+    grown_down = [holds(lo, b) for lo in range(b - 1, -1, -1)]
+    assert grown_down == sorted(grown_down, reverse=True)
+
+
+def test_condition_report_matches_reference_below_the_level_count():
+    # the windows [t_a, p * m_r] of algebras with m_1 = 2 keep classes below
+    # the number of levels, where a pair's smaller degree caps its nu, so
+    # valuation_sum falls below nu_bound; bottom windows never reach this
+    capped = 0
+    for p, rank, top in ((3, 3, 12), (5, 2, 16), (7, 2, 16)):
+        ctx = PrimeContext(p)
+        for rest in combinations_with_replacement(range(2, top + 1), rank - 1):
+            space = SpaceType(ctx, (2, *rest))
+            d_hi = p * space.halves[-1]
+            for t_a, _ in monomial_degree_multiplicities(space)[:-1]:
+                module = enumerate_classes(space, (t_a, d_hi))
+                report = condition_report(module)
+                assert report.as_dict() == _reference_report(module), (space.halves, t_a)
+                capped += sum(c.valuation_sum < c.nu_bound for c in report.per_class)
+    assert capped > 0
 
 
 def _reference_multiplicities(space):
@@ -448,8 +504,7 @@ def test_degrees_past_the_nu_table_limit(ctx3, ctx5):
         assert space.p * space.halves[-1] - space.halves[0] > NU_TABLE_LIMIT
         for policy in ("standard", "exhaustive"):
             cert = eliminate_by_psi(space, policy)
-            got = None if cert is None else (cert.window, cert.witness, cert.report.as_dict())
-            assert got == _reference_search(space, policy), (space.halves, policy)
+            assert _certificate_fields(cert) == _reference_search(space, policy), (space.halves, policy)
         module = enumerate_classes(space, (2, space.p * space.halves[-1]))
         assert condition_report(module).as_dict() == _reference_report(module)
 
