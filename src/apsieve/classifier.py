@@ -25,7 +25,7 @@ rather than silently accepting the claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
@@ -108,16 +108,28 @@ class VerdictKind(str, Enum):
     ELIMINATED = "eliminated"
 
 
-@dataclass
 class Verdict:
-    """Per-type outcome with a machine-checkable certificate reference."""
+    """Per-type outcome with a machine-checkable certificate reference.
 
-    space: SpaceType
-    kind: VerdictKind
-    reason: str | None = None
-    certificate: dict | None = None
-    trace: list[str] = field(default_factory=list)
-    corroborating: list[str] = field(default_factory=list)
+    ``trace`` and ``corroborating`` default to a fresh list per verdict."""
+
+    __slots__ = ("space", "kind", "reason", "certificate", "trace", "corroborating")
+
+    def __init__(
+        self,
+        space: SpaceType,
+        kind: VerdictKind,
+        reason: str | None = None,
+        certificate: dict | None = None,
+        trace: list[str] | None = None,
+        corroborating: list[str] | None = None,
+    ):
+        self.space = space
+        self.kind = kind
+        self.reason = reason
+        self.certificate = certificate
+        self.trace = [] if trace is None else trace
+        self.corroborating = [] if corroborating is None else corroborating
 
     def as_dict(self) -> dict:
         return {
@@ -131,11 +143,10 @@ class Verdict:
         }
 
 
-@dataclass(frozen=True)
-class FilterResult:
-    passed: bool
-    detail: str
-    rule: int  # 1 for W1, 2 for W2
+class FilterResult(namedtuple("FilterResult", "passed detail rule")):
+    """Outcome of rule W1 or W2; ``rule`` is 1 for W1, 2 for W2."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.passed
@@ -172,14 +183,11 @@ def wilkerson_filter_2(space: SpaceType) -> FilterResult:
     return FilterResult(True, "all prime-to-p degrees have companions", 2)
 
 
-@dataclass(frozen=True)
-class CaseTag:
+class CaseTag(namedtuple("CaseTag", "case s t", defaults=(None, None))):
     """Which of the four rank-3 cases a triple (r, n, m) falls into,
     with the step witness s (cases 1-3) or t (case 4)."""
 
-    case: int
-    s: int | None = None
-    t: int | None = None
+    __slots__ = ()
 
 
 def case_split(space: SpaceType) -> CaseTag | None:
@@ -222,11 +230,8 @@ def case_split(space: SpaceType) -> CaseTag | None:
     return None
 
 
-@dataclass(frozen=True)
-class Lemma43Result:
-    applicable: bool
-    inequality_holds: bool
-    detail: str
+class Lemma43Result(namedtuple("Lemma43Result", "applicable inequality_holds detail")):
+    __slots__ = ()
 
 
 def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = None) -> Lemma43Result:
@@ -293,8 +298,9 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
     return Lemma43Result(True, holds, detail)
 
 
-@dataclass(frozen=True)
-class HemmiResult:
+class HemmiResult(
+    namedtuple("HemmiResult", "applicable source_half target_half forced detail")
+):
     """Forced reduced-power epimorphism between indecomposables.
 
     When applicable (and both endpoint degrees are generator degrees with
@@ -302,11 +308,7 @@ class HemmiResult:
     c * x_target`` with ``c != 0`` is forced.
     """
 
-    applicable: bool
-    source_half: int
-    target_half: int
-    forced: bool
-    detail: str
+    __slots__ = ()
 
 
 def hemmi_forced(space: SpaceType, a: int, n: int) -> HemmiResult:
@@ -339,8 +341,7 @@ def hemmi_forced(space: SpaceType, a: int, n: int) -> HemmiResult:
     return HemmiResult(True, src, tgt, forced, detail)
 
 
-@dataclass(frozen=True)
-class TopOperationResult:
+class TopOperationResult(namedtuple("TopOperationResult", "candidates forced eliminated")):
     """Existence of a single reduced power hitting the top generator.
 
     ``candidates`` lists the pairs (source half-degree, exponent i) with
@@ -348,9 +349,7 @@ class TopOperationResult:
     no candidate at all eliminates the type outright.
     """
 
-    candidates: tuple[tuple[int, int], ...]
-    forced: tuple[int, int] | None
-    eliminated: bool
+    __slots__ = ()
 
 
 def top_operation_lemma(space: SpaceType) -> TopOperationResult:
@@ -389,12 +388,14 @@ class EndgameEncodingError(RuntimeError):
     """A rule's verified premise failed; the encoding, not the argument."""
 
 
-@dataclass
 class EndgameElimination:
-    rule_id: str
-    space: SpaceType
-    trace: list[str]
-    constraint_count: int
+    __slots__ = ("rule_id", "space", "trace", "constraint_count")
+
+    def __init__(self, rule_id: str, space: SpaceType, trace: list[str], constraint_count: int):
+        self.rule_id = rule_id
+        self.space = space
+        self.trace = trace
+        self.constraint_count = constraint_count
 
     def as_dict(self) -> dict:
         return {
@@ -669,11 +670,8 @@ def _case4_filter(space: SpaceType) -> tuple[bool, str]:
 _CASE_FILTERS = {1: _case1_filter, 2: _case2_filter, 3: _case3_filter, 4: _case4_filter}
 
 
-@dataclass(frozen=True)
-class _CaseResult:
-    case: int
-    passed: bool
-    detail: str
+class _CaseResult(namedtuple("_CaseResult", "case passed detail")):
+    __slots__ = ()
 
 
 def _arithmetic_stages(space: SpaceType) -> FilterResult | _CaseResult | None:
@@ -804,15 +802,29 @@ def check_type(
     return Verdict(space, VerdictKind.SURVIVES, trace=trace + ["no stage eliminates the type"])
 
 
-@dataclass
 class ClassificationResult:
-    verdicts: dict[tuple[int, ...], Verdict]
-    survivors: list[tuple[int, ...]]
-    quasi_regular: list[tuple[int, ...]]
-    steenrod_eliminated: list[tuple[int, ...]]
-    psi_certified: list[tuple[int, ...]]
-    psi_uncertified: list[tuple[int, ...]]
-    discrepancies: list[str]
+    __slots__ = (
+        "verdicts", "survivors", "quasi_regular", "steenrod_eliminated",
+        "psi_certified", "psi_uncertified", "discrepancies",
+    )
+
+    def __init__(
+        self,
+        verdicts: dict[tuple[int, ...], Verdict],
+        survivors: list[tuple[int, ...]],
+        quasi_regular: list[tuple[int, ...]],
+        steenrod_eliminated: list[tuple[int, ...]],
+        psi_certified: list[tuple[int, ...]],
+        psi_uncertified: list[tuple[int, ...]],
+        discrepancies: list[str],
+    ):
+        self.verdicts = verdicts
+        self.survivors = survivors
+        self.quasi_regular = quasi_regular
+        self.steenrod_eliminated = steenrod_eliminated
+        self.psi_certified = psi_certified
+        self.psi_uncertified = psi_uncertified
+        self.discrepancies = discrepancies
 
 
 def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = 60) -> ClassificationResult:

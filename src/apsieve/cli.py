@@ -109,8 +109,11 @@ def _emit(document: dict, fmt: str, out: str | None):
     else:
         text = _render_markdown(document)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

@@ -14,7 +14,7 @@ is constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import comb
 
 __all__ = ["FinitenessBound", "monomial_count", "rank_bound"]
@@ -38,15 +38,11 @@ def _ilog(p: int, x: int) -> int:
     return k
 
 
-@dataclass(frozen=True)
-class FinitenessBound:
+class FinitenessBound(namedtuple("FinitenessBound", "p r monomials min_half_degree")):
     """Monomial count N and the minimal top half-degree bound M0 above
     which the sieve inequality holds for every m."""
 
-    p: int
-    r: int
-    monomials: int
-    min_half_degree: int
+    __slots__ = ()
 
     def inequality_holds(self, m: int) -> bool:
         return self.monomials * (_ilog(self.p, 2 * (self.p - 1) * m) + 1) < m

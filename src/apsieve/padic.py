@@ -29,7 +29,6 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 __all__ = [
@@ -230,21 +229,34 @@ def multiplicative_order(k: int, p: int) -> int:
     return t
 
 
-@dataclass(frozen=True)
 class PrimeContext:
     """An odd prime with its cached primitive root modulo ``p**2``.
 
     Immutable after construction, so one context serves every type checked
-    at its prime.
+    at its prime.  Equal primes give equal, equally hashed contexts.
     """
 
-    p: int
-    k0: int = field(init=False)
+    __slots__ = ("p", "k0")
 
-    def __post_init__(self):
-        if self.p < 3 or not is_prime(self.p):
-            raise ValueError(f"p must be an odd prime >= 3, got {self.p}")
-        object.__setattr__(self, "k0", primitive_root_mod_p2(self.p))
+    def __init__(self, p: int):
+        if p < 3 or not is_prime(p):
+            raise ValueError(f"p must be an odd prime >= 3, got {p}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "k0", primitive_root_mod_p2(p))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PrimeContext is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not PrimeContext:
+            return NotImplemented
+        return self.p == other.p
+
+    def __hash__(self):
+        return hash((self.p, self.k0))
+
+    def __repr__(self) -> str:
+        return f"PrimeContext(p={self.p}, k0={self.k0})"
 
 
 def _val_int(p: int, n: int) -> int:

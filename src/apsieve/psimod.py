@@ -30,7 +30,7 @@ class, and corrects the few pairs whose smaller degree caps ``nu``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import gcd
@@ -66,22 +66,40 @@ modules the pipeline meets (p = 5, rank 3) have 55 monomials, and p = 31 at
 rank 20 would have about 7.7e13."""
 
 
-@dataclass(frozen=True)
 class SpaceType:
-    """A candidate type: context plus sorted half-degrees ``m_1 <= ... <= m_r``."""
+    """A candidate type: context plus sorted half-degrees ``m_1 <= ... <= m_r``.
 
-    ctx: PrimeContext
-    halves: tuple[int, ...]
+    Immutable after construction.  Equal contexts and half-degrees give
+    equal, equally hashed types, so two separately built copies share one
+    entry of the :func:`monomial_degree_multiplicities` cache.
+    """
 
-    def __post_init__(self):
-        halves = tuple(int(m) for m in self.halves)
-        object.__setattr__(self, "halves", halves)
+    __slots__ = ("ctx", "halves")
+
+    def __init__(self, ctx: PrimeContext, halves: tuple[int, ...]):
+        halves = tuple(int(m) for m in halves)
         if not halves:
             raise ValueError("a type needs at least one half-degree")
         if any(m < 2 for m in halves):
             raise ValueError("half-degrees must be >= 2 (simply connected, rank-1 circle excluded)")
         if any(a > b for a, b in zip(halves, halves[1:])):
             raise ValueError("half-degrees must be sorted ascending")
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "halves", halves)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SpaceType is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not SpaceType:
+            return NotImplemented
+        return self.halves == other.halves and self.ctx == other.ctx
+
+    def __hash__(self):
+        return hash((self.ctx, self.halves))
+
+    def __repr__(self) -> str:
+        return f"SpaceType(ctx={self.ctx!r}, halves={self.halves!r})"
 
     @property
     def rank(self) -> int:
@@ -141,8 +159,7 @@ def monomial_degree_multiplicities(space: SpaceType) -> tuple[tuple[int, int], .
     return _monomial_degrees(space, 1, space.p * space.halves[-1])
 
 
-@dataclass(frozen=True)
-class PsiModule:
+class PsiModule(namedtuple("PsiModule", "space window classes witnesses")):
     """Degree data of a windowed truncated-polynomial module.
 
     ``classes`` holds the distinct degrees inside the window with their
@@ -152,10 +169,7 @@ class PsiModule:
     lies in the window.
     """
 
-    space: SpaceType
-    window: tuple[int, int]
-    classes: tuple[tuple[int, int], ...]
-    witnesses: tuple[int, ...]
+    __slots__ = ()
 
     @property
     def height(self) -> int:
@@ -184,23 +198,20 @@ def enumerate_classes(space: SpaceType, window: tuple[int, int]) -> PsiModule:
     return PsiModule(space=space, window=(d_lo, d_hi), classes=classes, witnesses=witnesses)
 
 
-@dataclass(frozen=True)
-class ClassCondition:
+class ClassCondition(namedtuple("ClassCondition", "degree valuation_sum nu_bound passes")):
     """Per-class sieve data: exact valuation sum, the coarser all-nu bound,
     and whether the divisibility condition ``v < degree`` holds."""
 
-    degree: int
-    valuation_sum: int
-    nu_bound: int
-    passes: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ConditionReport:
-    module: PsiModule
-    per_class: tuple[ClassCondition, ...]
-    holds_everywhere: bool
-    witness_used: int | None
+class ConditionReport(
+    namedtuple("ConditionReport", "module per_class holds_everywhere witness_used")
+):
+    """A module's per-class conditions, whether they all hold, and the
+    witness (``None`` without one)."""
+
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -279,15 +290,11 @@ def condition_report(module: PsiModule) -> ConditionReport:
     )
 
 
-@dataclass(frozen=True)
-class PsiCertificate:
+class PsiCertificate(namedtuple("PsiCertificate", "window report witness windows_tried")):
     """A certified elimination: the window, its full report, the witness,
     and how many windows the search scored to find it."""
 
-    window: tuple[int, int]
-    report: ConditionReport
-    witness: int
-    windows_tried: int
+    __slots__ = ()
 
     def replay(self) -> bool:
         """Re-derive the certificate from the window alone."""
@@ -475,12 +482,10 @@ def main_lemma_val(ctx: PrimeContext, m: int, t: int, i: int) -> int:
     return sum(nu[m * abs(i - j)] for j in range(t, top + 1) if j != i)
 
 
-@dataclass(frozen=True)
-class GcdTestResult:
+class GcdTestResult(namedtuple("GcdTestResult", "passed m")):
     """Outcome of the low-degree gcd divisibility test."""
 
-    passed: bool
-    m: int
+    __slots__ = ()
 
     def __bool__(self) -> bool:  # pragma: no cover - convenience
         return self.passed

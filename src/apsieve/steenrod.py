@@ -20,7 +20,7 @@ the unknowns; a contradiction is detected by exhausting GF(p) assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import product as _cartesian
 
 from .psimod import SpaceType
@@ -67,16 +67,15 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class PowerWord:
+class PowerWord(namedtuple("PowerWord", "exponents coefficient")):
     """A reduced-power word with a coefficient mod p."""
 
-    exponents: tuple[int, ...]
-    coefficient: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(e <= 0 for e in self.exponents):
+    def __new__(cls, exponents: tuple[int, ...], coefficient: int):
+        if any(e <= 0 for e in exponents):
             raise ValueError("exponents must be positive (identity factors are dropped)")
+        return super().__new__(cls, exponents, coefficient)
 
 
 def is_admissible(exponents: tuple[int, ...], p: int) -> bool:
@@ -157,12 +156,8 @@ class RelationShapeError(RuntimeError):
     """A pinned relation failed to normalise to its stated shape."""
 
 
-@dataclass(frozen=True)
-class Relation42Result:
-    k: int
-    coeff_second: int
-    epsilon: int | None
-    normalized: tuple[PowerWord, ...]
+class Relation42Result(namedtuple("Relation42Result", "k coeff_second epsilon normalized")):
+    __slots__ = ()
 
 
 def verify_relation_42(k: int, p: int = 3) -> Relation42Result:
@@ -192,14 +187,10 @@ def verify_relation_42(k: int, p: int = 3) -> Relation42Result:
     return Relation42Result(k=k, coeff_second=coeff, epsilon=None, normalized=tuple(lhs))
 
 
-@dataclass(frozen=True)
-class Relation43Result:
-    l: int
-    eps1: int
-    eps2: int
-    eps3: int
-    coeff_trailing: int
-    normalized: tuple[PowerWord, ...]
+class Relation43Result(
+    namedtuple("Relation43Result", "l eps1 eps2 eps3 coeff_trailing normalized")
+):
+    __slots__ = ()
 
 
 def verify_relation_43(l: int, p: int = 3) -> Relation43Result:

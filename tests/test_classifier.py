@@ -26,6 +26,8 @@ from apsieve.classifier import (
     RANK2_TYPES,
     STEENROD_TARGETS,
     SURVIVORS,
+    FilterResult,
+    Verdict,
     VerdictKind,
 )
 from apsieve.psimod import condition_report, enumerate_classes, theorem_1_1_test
@@ -41,6 +43,21 @@ def test_wilkerson_filter_2(ctx3):
     assert wilkerson_filter_2(SpaceType(ctx3, (2, 4, 6))).passed
     assert not wilkerson_filter_2(SpaceType(ctx3, (2, 5, 6))).passed
     assert wilkerson_filter_2(SpaceType(ctx3, (3, 6))).passed  # vacuous
+
+
+def test_failing_results_are_falsy(ctx3):
+    assert not FilterResult(False, "", 1) and FilterResult(True, "", 1)
+    assert not wilkerson_filter_1(SpaceType(ctx3, (2, 4, 12)))
+    assert not theorem_1_1_test(SpaceType(ctx3, (3, 6, 9)))
+    assert theorem_1_1_test(SpaceType(ctx3, (2, 4, 6)))
+
+
+def test_verdicts_do_not_share_lists(ctx3):
+    space = SpaceType(ctx3, (2, 4, 6))
+    first, second = Verdict(space, VerdictKind.SURVIVES), Verdict(space, VerdictKind.SURVIVES)
+    first.trace.append("traced")
+    first.corroborating.append("corroborated")
+    assert second.trace == [] and second.corroborating == []
 
 
 def test_case_split(ctx3):

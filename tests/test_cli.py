@@ -76,6 +76,17 @@ def test_out_naming_a_directory_is_a_usage_error(tmp_path):
     assert f"File '{tmp_path}' is a directory" in res.output
 
 
+@pytest.mark.parametrize("args", [("check-type", "2,4,6"), ("bound",), ("reproduce", "bound")])
+def test_out_into_a_missing_directory_is_a_usage_error(args, tmp_path):
+    # exit 1 would claim a discrepancy; a report that cannot be written is bad input
+    (tmp_path / "file").write_text("")
+    for out in (tmp_path / "missing" / "r.json", tmp_path / "file" / "r.json"):
+        res = run(*args, "--out", str(out))
+        assert res.exit_code == 2, res.output
+        assert res.output.startswith(f"Error: cannot write {str(out)!r}: "), res.output
+        assert res.output.count("\n") == 1 and not out.exists()
+
+
 def test_usage_error_is_one_line_on_stderr(capsys):
     assert main(["check-type", "6,4,2"], standalone_mode=False) == 2
     captured = capsys.readouterr()
@@ -115,11 +126,16 @@ def test_negative_n_is_an_argument():
     assert run("nu", "--p", "3", "-18").output == "3\n"
 
 
-def test_import_does_not_load_click():
+def test_import_leaves_heavy_modules_unloaded():
+    # -S keeps site's .pth files out, so that none of them can preload a module
+    # and hide its import; these four would cost the cold start ~30 ms
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    code = "import sys, apsieve.cli; assert 'click' not in sys.modules"
+    heavy = ("click", "dataclasses", "inspect", "typing")
+    code = f"import sys, apsieve.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    res = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert res.stdout == "[]\n"
 
 
 def test_p3_only_targets_refuse_other_primes():

@@ -104,6 +104,18 @@ def test_primitive_roots():
         primitive_root_mod_p2(9)
 
 
+def test_prime_context_is_an_immutable_value():
+    a, b = PrimeContext(3), PrimeContext(3)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != PrimeContext(5)
+    with pytest.raises(AttributeError):
+        a.p = 5
+    for p in (1, 2, 9):
+        with pytest.raises(ValueError) as exc:
+            PrimeContext(p)
+        assert str(exc.value) == f"p must be an odd prime >= 3, got {p}"
+
+
 def test_primitive_root_of_a_large_prime():
     # (p - 1) / 2 = 500,000,003 is prime: only p - 1 is trial-divided, never p * (p - 1)
     assert PrimeContext(1_000_000_007).k0 == 5

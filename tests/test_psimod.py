@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from itertools import combinations_with_replacement
 
@@ -24,14 +23,34 @@ from apsieve.psimod import MONOMIAL_BUDGET, low_degree_gcd, monomial_degree_mult
 
 
 def test_space_type_validation(ctx3):
-    with pytest.raises(ValueError):
-        SpaceType(ctx3, ())
-    with pytest.raises(ValueError):
-        SpaceType(ctx3, (1, 2))
-    with pytest.raises(ValueError):
-        SpaceType(ctx3, (4, 2))
+    for halves, message in [
+        ((), "a type needs at least one half-degree"),
+        ((1, 2), "half-degrees must be >= 2 (simply connected, rank-1 circle excluded)"),
+        ((4, 2), "half-degrees must be sorted ascending"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            SpaceType(ctx3, halves)
+        assert str(exc.value) == message
     s = SpaceType(ctx3, (2, 4, 6))
     assert s.cohomology_degrees() == (3, 7, 11)
+
+
+def test_space_type_is_an_immutable_value(ctx3):
+    # equal types built apart are one key of the monomial cache
+    first = SpaceType(ctx3, (2, 4, 6))
+    second = SpaceType(PrimeContext(3), [2, 4, 6])
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert first != SpaceType(PrimeContext(5), (2, 4, 6))
+    monomial_degree_multiplicities(first)
+    before = monomial_degree_multiplicities.cache_info()
+    monomial_degree_multiplicities(second)
+    after = monomial_degree_multiplicities.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    with pytest.raises(AttributeError):
+        first.halves = (2, 4, 8)
+    cert = eliminate_by_psi(SpaceType(ctx3, (4, 8, 12)))
+    with pytest.raises(AttributeError):
+        cert.witness = 8
 
 
 def test_enumerate_classes_239(ctx3):
@@ -516,7 +535,7 @@ def test_condition_report_any_class_order(ctx5):
         module = enumerate_classes(SpaceType(ctx5, halves), (2, 100))
         classes = list(module.classes)
         rng.shuffle(classes)
-        shuffled = dataclasses.replace(module, classes=tuple(classes))
+        shuffled = module._replace(classes=tuple(classes))
         assert condition_report(shuffled).as_dict() == _reference_report(shuffled)
 
 
@@ -525,7 +544,7 @@ def test_window_search_internal_error_guard(ctx3, monkeypatch):
     real = psimod.condition_report
     monkeypatch.setattr(
         psimod, "condition_report",
-        lambda module: dataclasses.replace(real(module), holds_everywhere=False),
+        lambda module: real(module)._replace(holds_everywhere=False),
     )
     with pytest.raises(RuntimeError, match="internal error"):
         eliminate_by_psi(SpaceType(ctx3, (4, 8, 12)))

@@ -21,6 +21,14 @@ def as_dict(words):
     return {w.exponents: w.coefficient for w in words}
 
 
+def test_power_word_validation():
+    assert PowerWord(exponents=(3, 1), coefficient=2) == PowerWord((3, 1), 2)
+    for exponents in ((0,), (3, -1)):
+        with pytest.raises(ValueError) as exc:
+            PowerWord(exponents, 1)
+        assert str(exc.value) == "exponents must be positive (identity factors are dropped)"
+
+
 def test_binom_mod_p_examples():
     assert binom_mod_p(13, 3, 3) == 1
     assert binom_mod_p(17, 3, 3) == 2
