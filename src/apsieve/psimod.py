@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from math import gcd
 
 from .finiteness import monomial_count
@@ -49,6 +49,7 @@ __all__ = [
     "condition_report",
     "eliminate_by_psi",
     "gcd_oracle",
+    "main_lemma_sums",
     "main_lemma_val",
     "theorem_1_1_test",
     "low_degree_gcd",
@@ -464,22 +465,36 @@ def gcd_oracle(module: PsiModule, class_index: int, k_max: int) -> Valuation:
     return Valuation(total)
 
 
+def main_lemma_sums(ctx: PrimeContext, m: int, t: int) -> list[int]:
+    """Lemma 3.4's sums over the run ``[t, t*p]``: entry ``i - t`` is the
+    sum of ``nu(m * |i - j|)`` over the ``j != i`` of the run.
+
+    The ``j`` below ``i`` give the differences ``1 .. i - t`` and those above
+    give ``1 .. t*p - i``, so with one prefix sum ``P(d)`` of
+    ``nu(m * e)`` over ``e <= d`` the entry is ``P(i - t) + P(t*p - i)``.
+    """
+    if m < 1 or t < 1:
+        raise ValueError("m and t must be positive")
+    span = t * (ctx.p - 1)
+    nu = nu_table(ctx, m * span)
+    prefix = list(accumulate((nu[m * e] for e in range(1, span + 1)), initial=0))
+    return [prefix[d] + prefix[span - d] for d in range(span + 1)]
+
+
 def main_lemma_val(ctx: PrimeContext, m: int, t: int, i: int) -> int:
     """Exact valuation, for the primitive root base, of the run product
 
         prod over j in [t, t*p], j != i, of (k0**(m*i) - k0**(m*j)),
 
-    namely the sum of ``nu(m * |i - j|)`` over the run, read from the
-    per-prime table of :func:`~apsieve.padic.nu_table`.  When ``m`` does
-    not divide ``p - 1`` this value is strictly below ``m * t``.
+    namely the sum of ``nu(m * |i - j|)`` over the run, read from
+    :func:`main_lemma_sums`.  When ``m`` does not divide ``p - 1`` this
+    value is strictly below ``m * t``.
     """
     if m < 1 or t < 1:
         raise ValueError("m and t must be positive")
-    top = t * ctx.p
-    if not (t <= i <= top):
+    if not (t <= i <= t * ctx.p):
         raise ValueError("i must lie in [t, t*p]")
-    nu = nu_table(ctx, m * (top - t))
-    return sum(nu[m * abs(i - j)] for j in range(t, top + 1) if j != i)
+    return main_lemma_sums(ctx, m, t)[i - t]
 
 
 class GcdTestResult(namedtuple("GcdTestResult", "passed m")):

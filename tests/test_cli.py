@@ -175,9 +175,14 @@ def test_thm11_demo_leaves_the_monomial_cache_alone():
     assert json.loads(res.output)["summary"] == {"gcd_failing_types_checked": 3584, "uncertified": []}
 
 
-def _reference_thm11_demo(p):
+def _holds_everywhere(module):
+    return condition_report(module).holds_everywhere
+
+
+def _reference_thm11_demo(p, holds=_holds_everywhere):
     """The demo's summary by one module and one report per type: every
-    gcd-failing type of rank <= 3 up to 40 on its full bottom window."""
+    gcd-failing type of rank <= 3 up to 40 on its full bottom window, which
+    certifies the type when ``holds(module)`` and ``m_1`` is a witness."""
     ctx = PrimeContext(p)
     checked = 0
     failures = []
@@ -188,7 +193,7 @@ def _reference_thm11_demo(p):
                 continue
             checked += 1
             module = enumerate_classes(space, (halves[0], p * halves[0]))
-            if not (condition_report(module).holds_everywhere and halves[0] in module.witnesses):
+            if not (holds(module) and halves[0] in module.witnesses):
                 failures.append(list(halves))
     return {"gcd_failing_types_checked": checked, "uncertified": failures}
 
@@ -198,6 +203,32 @@ def test_thm11_demo_matches_per_type_reference(p):
     res = run("reproduce", "--p", str(p), "thm1.1-demo")
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["summary"] == _reference_thm11_demo(p)
+
+
+@pytest.mark.parametrize("p, failing", [(3, 889), (5, 594)])
+def test_thm11_demo_lists_the_types_of_uncertified_low_parts(p, failing, monkeypatch):
+    # every bottom window holding degree 9 is made to fail, so the demo must
+    # list each type of those low parts, tails included, in the order of the
+    # per-type reference
+    def holds(module):
+        return 9 not in module.degrees() and _holds_everywhere(module)
+
+    def failing_report(module):
+        return condition_report(module)._replace(holds_everywhere=holds(module))
+
+    monkeypatch.setattr(cli, "condition_report", failing_report)
+    res = run("reproduce", "--p", str(p), "thm1.1-demo")
+    assert res.exit_code == 1, res.output
+    doc = json.loads(res.output)
+    assert doc["summary"] == _reference_thm11_demo(p, holds)
+    uncertified = doc["summary"]["uncertified"]
+    assert len(uncertified) == failing
+    assert doc["discrepancies"] == [
+        f"{failing} gcd-failing types not certified on the bottom window"
+    ]
+    # the low part is the half-degrees <= p * m_1; some listed types extend it
+    tailed = {len(t) for t in uncertified if t[-1] > p * t[0]}
+    assert tailed == {2, 3}
 
 
 def test_thm11_demo_builds_one_module_per_low_part(monkeypatch):
@@ -320,6 +351,30 @@ def test_reproduce_thm12():
         [2, 4, 6], [2, 6, 8], [3, 5, 7], [3, 6, 8], [6, 8, 10], [6, 8, 12],
     ]
     assert doc["discrepancies"] == []
+
+
+@pytest.mark.parametrize("args", [
+    ("--cap", "3", "thm1.2"),
+    ("--cap", "20", "thm1.2"),
+    ("--cap", "44", "thm1.2"),
+    ("--cap", "45", "thm1.2"),
+    ("--cap", "20", "prop1"),
+    ("--cap", "20", "prop2"),
+    ("--cap", "20", "prop3"),
+    ("--cap", "20", "prop4"),
+])
+def test_reproduce_below_the_largest_fixture_top(args):
+    # the fixtures reach top 45; a smaller cap is diffed against the entries
+    # it can reach, not reported as missing the others
+    res = run("reproduce", *args)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["discrepancies"] == []
+
+
+def test_reproduce_lemma34_summary():
+    res = run("reproduce", "lemma3.4")
+    assert res.exit_code == 0
+    assert json.loads(res.output)["summary"] == {"grid_points": 1860, "violations": []}
 
 
 def test_reproduce_other_targets():

@@ -11,6 +11,7 @@ from apsieve import (
     eliminate_by_psi,
     enumerate_classes,
     gcd_oracle,
+    main_lemma_sums,
     main_lemma_val,
     monomial_count,
     theorem_1_1_test,
@@ -18,7 +19,7 @@ from apsieve import (
     wilkerson_filter_2,
 )
 from apsieve import psimod
-from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int
+from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int, nu
 from apsieve.psimod import MONOMIAL_BUDGET, low_degree_gcd, monomial_degree_multiplicities
 
 
@@ -167,6 +168,29 @@ def test_main_lemma_val_is_exact_product_valuation(ctx3):
             if j != i:
                 prod *= k0 ** (m * i) - k0 ** (m * j)
         assert main_lemma_val(ctx3, m, t, i) == bigint_val(3, prod)
+
+
+def test_main_lemma_sums_match_the_per_point_sums():
+    # oracle: the sum over the run of nu(m * |i - j|), point by point
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p)
+        for m in range(1, 31):
+            if (p - 1) % m == 0:
+                continue
+            for t in range(1, 5):
+                run = range(t, t * p + 1)
+                expected = [sum(nu(ctx, m * abs(i - j)).value for j in run if j != i)
+                            for i in run]
+                assert main_lemma_sums(ctx, m, t) == expected, (p, m, t)
+                assert [main_lemma_val(ctx, m, t, i) for i in run] == expected, (p, m, t)
+
+
+def test_main_lemma_sums_validation(ctx3):
+    for m, t in ((0, 1), (1, 0), (-2, 3)):
+        with pytest.raises(ValueError, match="m and t must be positive"):
+            main_lemma_sums(ctx3, m, t)
+    with pytest.raises(ValueError, match=r"i must lie in \[t, t\*p\]"):
+        main_lemma_val(ctx3, 1, 1, 4)
 
 
 def test_gcd_test_examples(ctx3):
