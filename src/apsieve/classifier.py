@@ -35,6 +35,7 @@ from .psimod import (
     condition_report,
     eliminate_by_psi,
     enumerate_classes,
+    gcd_oracle,
     theorem_1_1_test,
 )
 from .steenrod import (
@@ -77,7 +78,7 @@ __all__ = [
     "QUASI_REGULAR_TYPES",
     "STEENROD_TARGETS",
     "PSI_CLAIMED",
-    "RANK2_TYPES",
+    "fixture_up_to",
 ]
 
 # Expected rank-3 candidate lists and final partition (embedded fixtures
@@ -99,7 +100,12 @@ PSI_CLAIMED = (
     (2, 3, 9), (2, 21, 27), (2, 30, 36), (2, 39, 45), (16, 30, 36),
     (18, 24, 26), (19, 30, 36), (21, 27, 29), (30, 36, 38),
 )
-RANK2_TYPES = ((2, 3), (2, 4), (2, 6), (6, 8))
+
+
+def fixture_up_to(fixture, cap: int) -> list[tuple[int, ...]]:
+    """The entries of an expected list whose top is at most ``cap``, sorted;
+    the fixtures hold the candidates up to their largest top, 45."""
+    return sorted(halves for halves in fixture if halves[-1] <= cap)
 
 
 class VerdictKind(str, Enum):
@@ -721,8 +727,6 @@ def proposition_lists(ctx: PrimeContext | None = None, cap: int = 60) -> dict[in
 
 def _oracle_check(space: SpaceType, report, k_max: int) -> str:
     """Cross-check a report's valuation sums against the big-integer oracle."""
-    from .psimod import gcd_oracle
-
     for idx, cond in enumerate(report.per_class):
         if gcd_oracle(report.module, idx, k_max) != cond.valuation_sum:
             return f"oracle mismatch at class {cond.degree}"
@@ -863,28 +867,22 @@ def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = 60) -> Clas
                 f"type {halves}: unexpected verdict {verdict.kind.value} ({verdict.reason})"
             )
 
-    def expected(fixture) -> list[tuple[int, ...]]:
-        # the fixtures hold the candidates up to their largest top, 45
-        return sorted(halves for halves in fixture if halves[-1] <= cap)
-
     for case, fixture in enumerate((PROP_CASE1, PROP_CASE2, PROP_CASE3, PROP_CASE4), 1):
-        if lists[case] != expected(fixture):
+        expected = fixture_up_to(fixture, cap)
+        if lists[case] != expected:
             discrepancies.append(
-                f"case {case} list mismatch: computed {lists[case]}, expected {expected(fixture)}"
+                f"case {case} list mismatch: computed {lists[case]}, expected {expected}"
             )
-    if survivors != expected(SURVIVORS):
-        discrepancies.append(
-            f"survivor list mismatch: computed {survivors}, expected {expected(SURVIVORS)}"
-        )
-    if qr != expected(QUASI_REGULAR_TYPES):
-        discrepancies.append(
-            f"quasi-regular list mismatch: computed {qr}, expected {expected(QUASI_REGULAR_TYPES)}"
-        )
-    claimed = sorted(psi_cert + psi_unc)
-    if claimed != expected(PSI_CLAIMED):
-        discrepancies.append(
-            f"sieve-claimed list mismatch: computed {claimed}, expected {expected(PSI_CLAIMED)}"
-        )
+    for label, computed, fixture in (
+        ("survivor", survivors, SURVIVORS),
+        ("quasi-regular", qr, QUASI_REGULAR_TYPES),
+        ("sieve-claimed", sorted(psi_cert + psi_unc), PSI_CLAIMED),
+    ):
+        expected = fixture_up_to(fixture, cap)
+        if computed != expected:
+            discrepancies.append(
+                f"{label} list mismatch: computed {computed}, expected {expected}"
+            )
 
     return ClassificationResult(
         verdicts=verdicts,

@@ -27,8 +27,10 @@ from .classifier import (
     PROP_CASE4,
     check_type,
     classify_theorem_1_2,
+    fixture_up_to,
+    proposition_lists,
 )
-from .finiteness import monomial_count, rank_bound
+from .finiteness import rank_bound
 from .padic import PrimeContext, digit_sum, nu, val, val_factorial
 from .psimod import (
     SpaceType,
@@ -47,19 +49,6 @@ from .steenrod import (
     verify_relation_43,
 )
 
-_REPRODUCE_TARGETS = (
-    "thm1.1-demo",
-    "prop1",
-    "prop2",
-    "prop3",
-    "prop4",
-    "thm1.2",
-    "lemma3.4",
-    "adem",
-    "bound",
-)
-# the targets that enumerate candidates, and so read --cap
-_CAP_TARGETS = ("prop1", "prop2", "prop3", "prop4", "thm1.2")
 # thm1.1-demo checks every type of rank <= 3 with half-degrees up to this
 _DEMO_TOP = 40
 
@@ -184,30 +173,12 @@ def _prime_context(p: int) -> PrimeContext:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_val(p: int, n: int):
-    """Print the p-adic valuation of N."""
-    print(val(_prime_context(p), n))
-
-
-def cmd_nu(p: int, n: int):
-    """Print the exact valuation of k0**N - 1."""
-    print(nu(_prime_context(p), n))
-
-
-def cmd_digitsum(p: int, n: int):
-    """Print the base-p digit sum of N."""
+def cmd_valuation(p: int, function, n: int):
+    """Print ``function(ctx, N)``; ``val``, ``nu``, ``digitsum`` and
+    ``valfact`` each bind their own function and help text."""
     ctx = _prime_context(p)
     try:
-        print(digit_sum(ctx, n))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def cmd_valfact(p: int, n: int):
-    """Print the valuation of N factorial."""
-    ctx = _prime_context(p)
-    try:
-        print(val_factorial(ctx, n))
+        print(function(ctx, n))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -258,13 +229,11 @@ def cmd_bound(p: int, r: int, fmt: str, out: str | None):
     _emit(document, fmt, out)
 
 
-def _reproduce_prop(ctx: PrimeContext, document: dict, case: int, cap: int) -> None:
-    from .classifier import proposition_lists
-
+def _reproduce_prop(ctx: PrimeContext, document: dict, cap: int) -> None:
+    case = int(document["target"][4:])
     computed = proposition_lists(ctx, cap=cap)[case]
-    # the fixture lists the candidates up to its largest top, 45
     fixture = (PROP_CASE1, PROP_CASE2, PROP_CASE3, PROP_CASE4)[case - 1]
-    expected = sorted(halves for halves in fixture if halves[-1] <= cap)
+    expected = fixture_up_to(fixture, cap)
     document["summary"] = {f"case{case}": [list(t) for t in computed]}
     if computed != expected:
         document["discrepancies"].append(
@@ -293,7 +262,7 @@ def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int) -> None:
     }
 
 
-def _reproduce_thm11_demo(ctx: PrimeContext, document: dict) -> None:
+def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
     p = ctx.p
     # The bottom window [m_1, p*m_1] holds only monomials in the generators
     # <= p*m_1, so a type and its low part (those generators) have the same
@@ -344,7 +313,7 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict) -> None:
         )
 
 
-def _reproduce_lemma34(document: dict) -> None:
+def _reproduce_lemma34(ctx: PrimeContext, document: dict, cap: None) -> None:
     violations = []
     grids = 0
     for p in (3, 5):
@@ -361,7 +330,7 @@ def _reproduce_lemma34(document: dict) -> None:
         document["discrepancies"].append(f"{len(violations)} run-product bound violations")
 
 
-def _reproduce_adem(document: dict) -> None:
+def _reproduce_adem(ctx: PrimeContext, document: dict, cap: None) -> None:
     checks = []
     ok = True
 
@@ -393,19 +362,31 @@ def _reproduce_adem(document: dict) -> None:
         document["discrepancies"].append("a pinned relation failed to verify")
 
 
-def _reproduce_bound(document: dict) -> None:
+def _reproduce_bound(ctx: PrimeContext, document: dict, cap: None) -> None:
     bound = rank_bound(3, 3)
-    candidates = sorted(set(PROP_CASE1 + PROP_CASE2 + PROP_CASE3 + PROP_CASE4))
-    max_top = max(t[-1] for t in candidates)
+    max_top = max(t[-1] for t in PROP_CASE1 + PROP_CASE2 + PROP_CASE3 + PROP_CASE4)
     document["summary"] = {
         "monomials": bound.monomials,
         "min_half_degree": bound.min_half_degree,
         "max_candidate_top": max_top,
     }
-    if bound.monomials != monomial_count(3, 3):
-        document["discrepancies"].append("monomial count mismatch")
     if not max_top < bound.min_half_degree:
         document["discrepancies"].append("a candidate exceeds the finiteness bound")
+
+
+# each target's runner, called as runner(ctx, document, cap), and whether the
+# target enumerates candidates and so reads --cap
+_REPRODUCE_TARGETS = {
+    "thm1.1-demo": (_reproduce_thm11_demo, False),
+    "prop1": (_reproduce_prop, True),
+    "prop2": (_reproduce_prop, True),
+    "prop3": (_reproduce_prop, True),
+    "prop4": (_reproduce_prop, True),
+    "thm1.2": (_reproduce_thm12, True),
+    "lemma3.4": (_reproduce_lemma34, False),
+    "adem": (_reproduce_adem, False),
+    "bound": (_reproduce_bound, False),
+}
 
 
 def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bool,
@@ -415,9 +396,10 @@ def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bo
     Targets: thm1.1-demo, prop1..prop4, thm1.2, lemma3.4, adem, bound.
     """
     if target not in _REPRODUCE_TARGETS:
-        raise UsageError(f"unknown target {target!r}; choose from {_REPRODUCE_TARGETS}")
+        raise UsageError(f"unknown target {target!r}; choose from {tuple(_REPRODUCE_TARGETS)}")
+    runner, reads_cap = _REPRODUCE_TARGETS[target]
     config = {"p": p, "format": fmt}
-    if target in _CAP_TARGETS:
+    if reads_cap:
         cap = config["cap"] = 60 if cap is None else cap
         if cap < p:
             raise UsageError("cap must be at least p")
@@ -425,6 +407,9 @@ def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bo
         raise UsageError(f"target {target} does not read --cap; only prop1..prop4 and thm1.2 do")
     if p != 3 and target != "thm1.1-demo":
         raise UsageError(f"target {target} is specific to p = 3")
+    # no type with top >= M0 survives the sieve, and the scan is cubic in the cap
+    if reads_cap and cap > (m0 := rank_bound(3, 3).min_half_degree):
+        raise UsageError(f"cap must be at most M0 = {m0}, the rank-3 finiteness bound")
     ctx = _prime_context(p)
     if target == "thm1.1-demo":
         # the demo builds each module on a low part, whose rank can be below
@@ -435,18 +420,7 @@ def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bo
             raise UsageError(f"target thm1.1-demo: {exc}") from exc
     document = _base_document(target, config)
     start = time.perf_counter()
-    if target.startswith("prop"):
-        _reproduce_prop(ctx, document, int(target[4:]), cap)
-    elif target == "thm1.2":
-        _reproduce_thm12(ctx, document, cap)
-    elif target == "thm1.1-demo":
-        _reproduce_thm11_demo(ctx, document)
-    elif target == "lemma3.4":
-        _reproduce_lemma34(document)
-    elif target == "adem":
-        _reproduce_adem(document)
-    elif target == "bound":
-        _reproduce_bound(document)
+    runner(ctx, document, cap)
     if timing:
         document["timing_seconds"] = round(time.perf_counter() - start, 3)
     _emit(document, fmt, out)
@@ -475,8 +449,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def command(name, handler):
-        doc = handler.__doc__
+    def command(name, handler, doc=None):
+        doc = doc or handler.__doc__
         sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc,
                                   allow_abbrev=False)
         sub.set_defaults(handler=handler)
@@ -489,9 +463,15 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--out", type=_file_path, metavar="FILE",
                          help="write the report to FILE instead of stdout")
 
-    for name, handler in (("val", cmd_val), ("nu", cmd_nu),
-                          ("digitsum", cmd_digitsum), ("valfact", cmd_valfact)):
-        command(name, handler).add_argument("n", type=int, metavar="N")
+    for name, function, doc in (
+        ("val", val, "Print the p-adic valuation of N."),
+        ("nu", nu, "Print the exact valuation of k0**N - 1."),
+        ("digitsum", digit_sum, "Print the base-p digit sum of N."),
+        ("valfact", val_factorial, "Print the valuation of N factorial."),
+    ):
+        sub = command(name, cmd_valuation, doc)
+        sub.set_defaults(function=function)
+        sub.add_argument("n", type=int, metavar="N")
 
     sub = command("adem", cmd_adem)
     sub.add_argument("a", type=int, metavar="A")

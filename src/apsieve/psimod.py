@@ -50,7 +50,6 @@ __all__ = [
     "eliminate_by_psi",
     "gcd_oracle",
     "main_lemma_sums",
-    "main_lemma_val",
     "theorem_1_1_test",
     "low_degree_gcd",
     "monomial_degree_multiplicities",
@@ -171,10 +170,6 @@ class PsiModule(namedtuple("PsiModule", "space window classes witnesses")):
     """
 
     __slots__ = ()
-
-    @property
-    def height(self) -> int:
-        return self.space.p
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(t for t, _ in self.classes)
@@ -467,7 +462,13 @@ def gcd_oracle(module: PsiModule, class_index: int, k_max: int) -> Valuation:
 
 def main_lemma_sums(ctx: PrimeContext, m: int, t: int) -> list[int]:
     """Lemma 3.4's sums over the run ``[t, t*p]``: entry ``i - t`` is the
-    sum of ``nu(m * |i - j|)`` over the ``j != i`` of the run.
+    sum of ``nu(m * |i - j|)`` over the ``j != i`` of the run, the exact
+    valuation, for the primitive root base, of the run product
+
+        prod over j in [t, t*p], j != i, of (k0**(m*i) - k0**(m*j)).
+
+    When ``m`` does not divide ``p - 1`` every entry is strictly below
+    ``m * t``.
 
     The ``j`` below ``i`` give the differences ``1 .. i - t`` and those above
     give ``1 .. t*p - i``, so with one prefix sum ``P(d)`` of
@@ -479,22 +480,6 @@ def main_lemma_sums(ctx: PrimeContext, m: int, t: int) -> list[int]:
     nu = nu_table(ctx, m * span)
     prefix = list(accumulate((nu[m * e] for e in range(1, span + 1)), initial=0))
     return [prefix[d] + prefix[span - d] for d in range(span + 1)]
-
-
-def main_lemma_val(ctx: PrimeContext, m: int, t: int, i: int) -> int:
-    """Exact valuation, for the primitive root base, of the run product
-
-        prod over j in [t, t*p], j != i, of (k0**(m*i) - k0**(m*j)),
-
-    namely the sum of ``nu(m * |i - j|)`` over the run, read from
-    :func:`main_lemma_sums`.  When ``m`` does not divide ``p - 1`` this
-    value is strictly below ``m * t``.
-    """
-    if m < 1 or t < 1:
-        raise ValueError("m and t must be positive")
-    if not (t <= i <= t * ctx.p):
-        raise ValueError("i must lie in [t, t*p]")
-    return main_lemma_sums(ctx, m, t)[i - t]
 
 
 class GcdTestResult(namedtuple("GcdTestResult", "passed m")):

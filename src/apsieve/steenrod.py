@@ -21,9 +21,9 @@ the unknowns; a contradiction is detected by exhausting GF(p) assignments.
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import product as _cartesian
+from itertools import combinations_with_replacement, product as _cartesian
 
-from .psimod import SpaceType
+from .psimod import SpaceType, monomial_degree_multiplicities
 
 __all__ = [
     "binom_mod_p",
@@ -31,7 +31,6 @@ __all__ = [
     "is_admissible",
     "adem_expand",
     "normalize",
-    "normalize_word_sum",
     "format_expansion",
     "RelationShapeError",
     "Relation42Result",
@@ -107,25 +106,19 @@ def _reduce_to_admissible(exponents: tuple[int, ...], coeff: int, p: int, acc: d
     acc[exponents] = (acc.get(exponents, 0) + coeff) % p
 
 
-def normalize_word_sum(words: list[PowerWord], p: int) -> list[PowerWord]:
-    """Rewrite a formal sum of words into the admissible basis.
+def normalize(word: PowerWord, p: int) -> list[PowerWord]:
+    """Admissible expansion of a single word.
 
     Terminates because each rewrite strictly lowers the moment
     ``sum j * i_j``; the output is sorted descending for determinism.
     """
     acc: dict[tuple[int, ...], int] = {}
-    for w in words:
-        _reduce_to_admissible(w.exponents, w.coefficient % p, p, acc)
+    _reduce_to_admissible(word.exponents, word.coefficient % p, p, acc)
     return [
         PowerWord(exponents=e, coefficient=c)
         for e, c in sorted(acc.items(), reverse=True)
         if c % p
     ]
-
-
-def normalize(word: PowerWord, p: int) -> list[PowerWord]:
-    """Admissible expansion of a single word."""
-    return normalize_word_sum([word], p)
 
 
 def _signed(c: int, p: int) -> tuple[str, int]:
@@ -160,25 +153,23 @@ class Relation42Result(namedtuple("Relation42Result", "k coeff_second epsilon no
     __slots__ = ()
 
 
-def verify_relation_42(k: int, p: int = 3) -> Relation42Result:
+def verify_relation_42(k: int) -> Relation42Result:
     """Check ``P^1 P^3 P^(3k-1) = eps * P^1 P^(3k+2) + 2 * P^(3k+2) P^1``.
 
     At p=3 the word ``P^1 P^(3k+2)`` normalises to zero, so eps is
     indeterminate (reported as None); the admissible content of the left
     side must be exactly ``2 * P^(3k+2) P^1``.
     """
-    if p != 3:
-        raise ValueError("this relation family is specific to p=3")
     if k < 1:
         raise ValueError("k must be >= 1")
-    lhs = normalize(PowerWord((1, 3, 3 * k - 1), 1), p)
+    lhs = normalize(PowerWord((1, 3, 3 * k - 1), 1), 3)
     # the eps-term vanishes: P^1 P^(3k+2) -> -C(6k+3, 1) P^(3k+3) = 0 mod 3
-    if normalize(PowerWord((1, 3 * k + 2), 1), p):
+    if normalize(PowerWord((1, 3 * k + 2), 1), 3):
         raise RelationShapeError(f"P^1 P^{3*k+2} unexpectedly nonzero mod 3")
     expected_word = (3 * k + 2, 1)
     if len(lhs) != 1 or lhs[0].exponents != expected_word:
         raise RelationShapeError(
-            f"P^1 P^3 P^{3*k-1} normalised to {format_expansion(lhs, p)}, "
+            f"P^1 P^3 P^{3*k-1} normalised to {format_expansion(lhs, 3)}, "
             f"expected a multiple of P^{3*k+2} P^1"
         )
     coeff = lhs[0].coefficient
@@ -193,17 +184,15 @@ class Relation43Result(
     __slots__ = ()
 
 
-def verify_relation_43(l: int, p: int = 3) -> Relation43Result:
+def verify_relation_43(l: int) -> Relation43Result:
     """Check ``P^9 P^(3l-1) = e1 P^(3l+8) + e2 P^(3l+7) P^1 + e3 P^(3l+6) P^2 + P^(3l+5) P^3``.
 
     Needs ``l >= 2`` so the left side is inadmissible and all four right
-    side words are admissible; the trailing coefficient must be 1.
+    side words are admissible; at p = 3 the trailing coefficient must be 1.
     """
-    if p != 3:
-        raise ValueError("this relation family is specific to p=3")
     if l < 2:
         raise ValueError("l must be >= 2")
-    lhs = normalize(PowerWord((9, 3 * l - 1), 1), p)
+    lhs = normalize(PowerWord((9, 3 * l - 1), 1), 3)
     allowed = {
         (3 * l + 8,): "eps1",
         (3 * l + 7, 1): "eps2",
@@ -317,8 +306,6 @@ class Expr:
 
 def basis_monomials(space: SpaceType, half_degree: int) -> list[tuple[int, ...]]:
     """Monomials (length 1..p, as sorted generator tuples) of the given degree."""
-    from itertools import combinations_with_replacement
-
     out = []
     for length in range(1, space.p + 1):
         for combo in combinations_with_replacement(space.halves, length):
@@ -329,8 +316,6 @@ def basis_monomials(space: SpaceType, half_degree: int) -> list[tuple[int, ...]]
 
 def degree_realizable(space: SpaceType, d: int) -> bool:
     """True when ``d`` is a sum of 1..p half-degrees of the type."""
-    from .psimod import monomial_degree_multiplicities
-
     return any(t == d for t, _ in monomial_degree_multiplicities(space))
 
 
@@ -353,14 +338,6 @@ class SymbolicElement:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def half_degree(self) -> int | None:
-        degs = {sum(m) for m in self.coeffs}
-        if not degs:
-            return None
-        if len(degs) != 1:
-            raise ValueError("element is not graded")
-        return degs.pop()
 
     def __add__(self, other: "SymbolicElement") -> "SymbolicElement":
         out = dict(self.coeffs)

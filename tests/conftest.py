@@ -8,6 +8,10 @@ from apsieve import PrimeContext
 from apsieve.cli import main
 
 
+# rank-2 types that pass every arithmetic filter and that no stage eliminates
+RANK2_TYPES = ((2, 3), (2, 4), (2, 6), (6, 8))
+
+
 @pytest.fixture(scope="session")
 def ctx3():
     return PrimeContext(3)

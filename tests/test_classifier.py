@@ -23,7 +23,6 @@ from apsieve.classifier import (
     PROP_CASE4,
     PSI_CLAIMED,
     QUASI_REGULAR_TYPES,
-    RANK2_TYPES,
     STEENROD_TARGETS,
     SURVIVORS,
     FilterResult,
@@ -31,6 +30,8 @@ from apsieve.classifier import (
     VerdictKind,
 )
 from apsieve.psimod import condition_report, enumerate_classes, theorem_1_1_test
+
+from conftest import RANK2_TYPES
 
 
 def test_wilkerson_filter_1(ctx3):

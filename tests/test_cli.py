@@ -110,8 +110,8 @@ def test_main_returns_the_exit_code(monkeypatch):
     assert main(["--help"], standalone_mode=False) == 0
     assert main(["check-type", "6,4,2"], standalone_mode=False) == 2
     assert main(["nosuch"], standalone_mode=False) == 2
-    monkeypatch.setattr(cli, "_reproduce_bound",
-                        lambda document: document["discrepancies"].append("injected"))
+    monkeypatch.setitem(cli._REPRODUCE_TARGETS, "bound",
+                        (lambda ctx, document, cap: document["discrepancies"].append("injected"), False))
     assert main(["reproduce", "bound"], standalone_mode=False) == 1
     with pytest.raises(SystemExit) as exc:
         main(["reproduce", "bound"])
@@ -259,6 +259,14 @@ def test_cap_on_a_target_that_does_not_read_it_is_a_usage_error(target):
     res = run("reproduce", "--cap", "115", target)
     assert res.exit_code == 2, res.output
     assert res.output == f"Error: target {target} does not read --cap; only prop1..prop4 and thm1.2 do\n"
+
+
+@pytest.mark.parametrize("target", ["thm1.2", "prop1"])
+def test_cap_above_the_finiteness_bound_is_a_usage_error(target):
+    # no type with top >= M0 = 115 survives the sieve, and the scan is cubic in the cap
+    res = run("reproduce", "--cap", "116", target)
+    assert res.exit_code == 2, res.output
+    assert res.output == "Error: cap must be at most M0 = 115, the rank-3 finiteness bound\n"
 
 
 def test_config_records_cap_only_where_read(shared_enumeration):
@@ -427,8 +435,11 @@ def _dumps(document):
 def shared_enumeration():
     """``proposition_lists`` is a pure function of its arguments: the report
     commands below share one enumeration per cap instead of one each."""
+    cached = functools.cache(classifier.proposition_lists)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(classifier, "proposition_lists", functools.cache(classifier.proposition_lists))
+        # thm1.2 reads the classifier's binding, the prop targets the CLI's
+        mp.setattr(classifier, "proposition_lists", cached)
+        mp.setattr(cli, "proposition_lists", cached)
         yield
 
 

@@ -12,7 +12,6 @@ from apsieve import (
     enumerate_classes,
     gcd_oracle,
     main_lemma_sums,
-    main_lemma_val,
     monomial_count,
     theorem_1_1_test,
     wilkerson_filter_1,
@@ -149,15 +148,14 @@ def test_window_monotonicity(ctx3):
         assert c.valuation_sum <= wide_by_degree[c.degree]
 
 
-def test_main_lemma_val_examples(ctx3):
-    assert main_lemma_val(ctx3, 4, 1, 1) == 2
-    assert main_lemma_val(ctx3, 1, 2, 2) == 2
-    assert main_lemma_val(ctx3, 5, 1, 3) == 1
-    with pytest.raises(ValueError):
-        main_lemma_val(ctx3, 4, 2, 1)
+def test_main_lemma_sums_examples(ctx3):
+    # entry i - t of the run [t, 3t]
+    assert main_lemma_sums(ctx3, 4, 1)[1 - 1] == 2
+    assert main_lemma_sums(ctx3, 1, 2)[2 - 2] == 2
+    assert main_lemma_sums(ctx3, 5, 1)[3 - 1] == 1
 
 
-def test_main_lemma_val_is_exact_product_valuation(ctx3):
+def test_main_lemma_sums_is_exact_product_valuation(ctx3):
     # big-integer cross-check of the run-product valuation at the root base
     from conftest import bigint_val
 
@@ -167,7 +165,7 @@ def test_main_lemma_val_is_exact_product_valuation(ctx3):
         for j in range(t, 3 * t + 1):
             if j != i:
                 prod *= k0 ** (m * i) - k0 ** (m * j)
-        assert main_lemma_val(ctx3, m, t, i) == bigint_val(3, prod)
+        assert main_lemma_sums(ctx3, m, t)[i - t] == bigint_val(3, prod)
 
 
 def test_main_lemma_sums_match_the_per_point_sums():
@@ -182,15 +180,12 @@ def test_main_lemma_sums_match_the_per_point_sums():
                 expected = [sum(nu(ctx, m * abs(i - j)).value for j in run if j != i)
                             for i in run]
                 assert main_lemma_sums(ctx, m, t) == expected, (p, m, t)
-                assert [main_lemma_val(ctx, m, t, i) for i in run] == expected, (p, m, t)
 
 
 def test_main_lemma_sums_validation(ctx3):
     for m, t in ((0, 1), (1, 0), (-2, 3)):
         with pytest.raises(ValueError, match="m and t must be positive"):
             main_lemma_sums(ctx3, m, t)
-    with pytest.raises(ValueError, match=r"i must lie in \[t, t\*p\]"):
-        main_lemma_val(ctx3, 1, 1, 4)
 
 
 def test_gcd_test_examples(ctx3):

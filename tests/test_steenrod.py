@@ -14,7 +14,7 @@ from apsieve import (
     verify_relation_42,
     verify_relation_43,
 )
-from apsieve.steenrod import Derivation, Expr, is_admissible, normalize_word_sum
+from apsieve.steenrod import Derivation, Expr, is_admissible
 
 
 def as_dict(words):
@@ -83,7 +83,7 @@ def test_normalize_examples():
 
 def test_normalize_idempotent_and_linear():
     words = normalize(PowerWord((2, 3, 5), 1), 3)
-    again = normalize_word_sum(words, 3)
+    again = [term for w in words for term in normalize(w, 3)]
     assert as_dict(words) == as_dict(again)
     doubled = normalize(PowerWord((2, 3, 5), 2), 3)
     assert as_dict(doubled) == {e: (2 * c) % 3 for e, c in as_dict(words).items()}
@@ -157,7 +157,7 @@ def test_cartan_respects_grading(ctx3):
         for i in range(1, g + 1):
             out = deriv.apply_power(i, deriv.generator(g))
             if not out.is_zero():
-                assert out.half_degree() == g + 2 * i
+                assert {sum(mono) for mono in out.coeffs} == {g + 2 * i}
 
 
 def test_truncation_kills_long_products(ctx3):
