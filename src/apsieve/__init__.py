@@ -12,11 +12,9 @@ from .padic import (
     Valuation,
     digit_sum,
     nu,
-    pair_min_val,
     primitive_root_mod_p2,
     val,
     val_factorial,
-    val_power_diff,
 )
 from .psimod import (
     ConditionReport,
@@ -67,11 +65,9 @@ __all__ = [
     "Valuation",
     "digit_sum",
     "nu",
-    "pair_min_val",
     "primitive_root_mod_p2",
     "val",
     "val_factorial",
-    "val_power_diff",
     "ConditionReport",
     "PsiCertificate",
     "PsiModule",

@@ -34,7 +34,7 @@ from .finiteness import rank_bound
 from .padic import PrimeContext, digit_sum, nu, val, val_factorial
 from .psimod import (
     SpaceType,
-    check_monomial_budget,
+    check_dp_work,
     condition_report,
     enumerate_classes,
     main_lemma_sums,
@@ -159,7 +159,7 @@ def _parse_type(ctx_p: int, text: str) -> SpaceType:
     try:
         halves = tuple(int(part) for part in text.split(","))
         space = SpaceType(PrimeContext(ctx_p), halves)
-        check_monomial_budget(space)
+        check_dp_work(space)
         return space
     except ValueError as exc:
         raise UsageError(f"bad type {text!r}: {exc}") from exc
@@ -274,6 +274,13 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
     # it is uncertified.  The report's sums read only ctx and the class
     # degrees, so each distinct degree tuple is evaluated once.
     top = _DEMO_TOP
+    # m_1 >= 3, since 2 divides p - 1, so every window built below has at
+    # most 3 generators, words of length <= p and a spread <= top - 3: it
+    # costs no more than this one
+    try:
+        check_dp_work(SpaceType(ctx, (3, top, top)), p * top)
+    except ValueError as exc:
+        raise UsageError(f"target thm1.1-demo: {exc}") from exc
     holds: dict[tuple[int, ...], bool] = {}
     uncertified = []
     checked = 0
@@ -291,7 +298,8 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
             degrees = module.degrees()
             if degrees not in holds:
                 holds[degrees] = condition_report(module).holds_everywhere
-            if not (holds[degrees] and m1 in module.witnesses):
+            # m1 and p*m1 bound the window, so m1 is always a witness
+            if not holds[degrees]:
                 for j in range(spare + 1):
                     uncertified.extend(
                         low + tail
@@ -411,13 +419,6 @@ def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bo
     if reads_cap and cap > (m0 := rank_bound(3, 3).min_half_degree):
         raise UsageError(f"cap must be at most M0 = {m0}, the rank-3 finiteness bound")
     ctx = _prime_context(p)
-    if target == "thm1.1-demo":
-        # the demo builds each module on a low part, whose rank can be below
-        # its type's, so the rank-3 algebra is checked against the budget here
-        try:
-            check_monomial_budget(SpaceType(ctx, (2,) * 3))
-        except ValueError as exc:
-            raise UsageError(f"target thm1.1-demo: {exc}") from exc
     document = _base_document(target, config)
     start = time.perf_counter()
     runner(ctx, document, cap)

@@ -13,18 +13,13 @@ Everything in this module is integer-exact.  The central objects are:
 - ``nu``: the exact valuation of ``k0**n - 1`` (zero when ``p - 1`` does
   not divide ``n``), computed arithmetically rather than with big
   integers.
-- ``val_power_diff`` / ``pair_min_val``: the exact valuation of
-  ``k**a - k**b`` for a single base, and the minimum of that valuation
-  over all bases ``k >= 2``, which is the per-factor building block of
-  the divisibility sieve.
 - ``nu_table``: ``nu(d)`` for every ``1 <= d <= limit`` as one shared
   per-prime list, built on first use and grown on demand (a memo past
   ``NU_TABLE_LIMIT``), so the sieve's inner loops read ``nu`` by indexing
   instead of calling a function.
 
-The hot paths avoid big-integer arithmetic entirely (lifting-the-exponent
-plus multiplicative-order computations); big integers appear only in test
-oracles.
+The hot paths avoid big-integer arithmetic entirely; big integers appear
+only in test oracles.
 """
 
 from __future__ import annotations
@@ -38,14 +33,11 @@ __all__ = [
     "is_prime",
     "prime_factors",
     "primitive_root_mod_p2",
-    "multiplicative_order",
     "val",
     "digit_sum",
     "val_factorial",
     "nu",
     "nu_table",
-    "val_power_diff",
-    "pair_min_val",
 ]
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10**24.
@@ -217,18 +209,6 @@ def primitive_root_mod_p2(p: int) -> int:
         k += 1
 
 
-def multiplicative_order(k: int, p: int) -> int:
-    """Order of ``k`` in the multiplicative group modulo the prime ``p``."""
-    k %= p
-    if k == 0:
-        raise ValueError("k must be coprime to p")
-    t = p - 1
-    for q in prime_factors(p - 1):
-        while t % q == 0 and pow(k, t // q, p) == 1:
-            t //= q
-    return t
-
-
 class PrimeContext:
     """An odd prime with its cached primitive root modulo ``p**2``.
 
@@ -375,57 +355,3 @@ def nu_table(ctx: PrimeContext, limit: int) -> list | _NuMemo:
         table[0] = None
         _NU_TABLES[p] = table
     return table
-
-
-def _val_power_of_base_minus_one(ctx: PrimeContext, k: int, t: int) -> int:
-    """Valuation of ``k**t - 1`` given it is positive, via modular exponentiation."""
-    p = ctx.p
-    f = 0
-    q = p
-    while pow(k, t, q) == 1:
-        f += 1
-        q *= p
-    return f
-
-
-def val_power_diff(ctx: PrimeContext, k: int, a: int, b: int) -> Valuation:
-    """Exact valuation of ``k**a - k**b`` without big-integer arithmetic.
-
-    For ``p | k`` the answer is ``min(a, b) * val(k)``.  Otherwise write
-    ``d = |a - b|`` and let ``t`` be the order of ``k`` mod ``p``: the
-    valuation is 0 unless ``t | d``, in which case lifting the exponent
-    for odd ``p`` gives ``val(k**t - 1) + val(d)``.
-    """
-    if k < 2:
-        raise ValueError("base k must be at least 2")
-    if a < 1 or b < 1:
-        raise ValueError("exponents must be positive")
-    if a == b:
-        return INFINITE
-    p = ctx.p
-    if k % p == 0:
-        return Valuation(min(a, b) * _val_int(p, k))
-    d = abs(a - b)
-    t = multiplicative_order(k, p)
-    if d % t != 0:
-        return Valuation(0)
-    return Valuation(_val_power_of_base_minus_one(ctx, k, t) + _val_int(p, d))
-
-
-def _pair_min_int(ctx: PrimeContext, t1: int, t2: int) -> int:
-    # minimum over all bases k >= 2 of the valuation of k**t1 - k**t2;
-    # the nu branch is realised by k = k0, the min(t1, t2) branch by k = p.
-    return min(_nu_int(ctx, t1 - t2), min(t1, t2))
-
-
-def pair_min_val(ctx: PrimeContext, t1: int, t2: int) -> Valuation:
-    """Minimum over all bases ``k >= 2`` of the valuation of ``k**t1 - k**t2``.
-
-    Equals ``min(nu(|t1 - t2|), min(t1, t2))``.  Equal exponents give the
-    infinite sentinel (callers merge equal degrees beforehand).
-    """
-    if t1 < 1 or t2 < 1:
-        raise ValueError("exponents must be positive")
-    if t1 == t2:
-        return INFINITE
-    return Valuation(_pair_min_int(ctx, t1, t2))

@@ -4,12 +4,16 @@ A candidate space type is a sorted tuple of half-degrees ``m_1 <= ... <= m_r``
 (the odd cohomology generators live in degrees ``2*m_i - 1``).  The sieve
 works with the filtration degrees of the monomials of the associated
 truncated polynomial algebra of height ``p + 1``, restricted to a degree
-window ``[D_lo, D_hi]``.
+window ``[D_lo, D_hi]``.  It reads only the module's distinct degrees and
+their multiplicities, so those are counted, by a dynamic programme over the
+generators graded by word length, rather than read off the monomials one by
+one; the programme's own work, not the algebra's monomial count, decides
+which inputs are refused (:func:`check_dp_work`).
 
 For each distinct class degree ``t_i`` of such a windowed module the sieve
 computes
 
-    v_i = sum over the other classes of pair_min_val(t_i, t_j)
+    v_i = sum over the other classes of min(nu(|t_i - t_j|), min(t_i, t_j))
 
 which is the exact valuation of the gcd, over all integer base choices, of
 the products ``prod_j (k_j**t_i - k_j**t_j)``.  The divisibility condition
@@ -32,10 +36,9 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
-from math import gcd
+from itertools import accumulate
+from math import comb, gcd
 
-from .finiteness import monomial_count
 from .padic import PrimeContext, Valuation, nu_table
 
 __all__ = [
@@ -53,17 +56,17 @@ __all__ = [
     "theorem_1_1_test",
     "low_degree_gcd",
     "monomial_degree_multiplicities",
-    "check_monomial_budget",
-    "MONOMIAL_BUDGET",
+    "check_dp_work",
+    "DP_WORK_LIMIT",
 ]
 
-MONOMIAL_BUDGET = 100_000
-"""Most monomials ``comb(rank + p, p) - 1`` in an algebra that
-:func:`monomial_degree_multiplicities` or :func:`enumerate_classes` accepts;
-larger inputs are refused before any work.  The full enumeration visits
-every monomial, so its cost grows as ``comb(rank + p, p)``: the largest
-modules the pipeline meets (p = 5, rank 3) have 55 monomials, and p = 31 at
-rank 20 would have about 7.7e13."""
+DP_WORK_LIMIT = 10_000_000
+"""Most inner-loop steps, by the bound of :func:`check_dp_work`, that
+counting a module's monomial degrees may take; a larger input is refused
+before any row is built.  It admits every algebra of at most 100,000
+monomials ``C(r + p, p) - 1``: such an algebra has ``r <= 82`` (at p = 3,
+``C(85, 3) - 1 = 98,769``), and ``K <= p``, so its bound is at most
+``82 * 100,000``."""
 
 
 class SpaceType:
@@ -71,7 +74,9 @@ class SpaceType:
 
     Immutable after construction.  Equal contexts and half-degrees give
     equal, equally hashed types, so two separately built copies share one
-    entry of the :func:`monomial_degree_multiplicities` cache.
+    entry of the :func:`monomial_degree_multiplicities` cache.  Building a
+    type does no work on its algebra: a type too costly to count is refused
+    by :func:`check_dp_work` when its degrees are first asked for.
     """
 
     __slots__ = ("ctx", "halves")
@@ -116,33 +121,70 @@ class SpaceType:
         return "(" + ",".join(str(m) for m in self.halves) + ")"
 
 
-def check_monomial_budget(space: SpaceType) -> None:
-    """Raise ``ValueError`` when the truncated algebra on the generators of
-    ``space`` has more than :data:`MONOMIAL_BUDGET` monomials."""
-    count = monomial_count(space.p, space.rank)
-    if count > MONOMIAL_BUDGET:
+def check_dp_work(space: SpaceType, d_hi: int | None = None) -> int:
+    """An upper bound on the inner-loop steps of counting the monomial
+    degrees ``<= d_hi`` of ``space`` (default ``p * m_r``, the whole
+    algebra), checked in closed form before any row is built: raise
+    ``ValueError`` when it exceeds :data:`DP_WORK_LIMIT`, else return it.
+
+    Only the ``r`` generators ``<= d_hi`` take part, and no word longer than
+    ``K = min(p, d_hi // m_1)`` fits.  Each generator reads the rows of
+    lengths ``0 .. K - 1`` at most once, and the row of length ``l`` holds
+    at most ``C(r + l - 1, l)`` degrees (its monomials) and at most
+    ``l * spread + 1`` (its degrees lie in ``[l * m_1, l * (m_1 + spread)]``,
+    where the spread is the largest of those generators minus ``m_1``).
+    Summed over the lengths, the steps are at most
+    ``r * min(C(r + K, K) - 1, spread * K * (K + 1) // 2 + K)``."""
+    halves = space.halves
+    p = space.ctx.p
+    if d_hi is None:
+        d_hi = p * halves[-1]
+    r = bisect_right(halves, d_hi)
+    if not r:
+        return 0
+    longest = min(p, d_hi // halves[0])
+    spread = halves[r - 1] - halves[0]
+    work = r * min(comb(r + longest, longest) - 1, spread * longest * (longest + 1) // 2 + longest)
+    if work > DP_WORK_LIMIT:
         raise ValueError(
-            f"{count} monomials at p = {space.p}, rank {space.rank} exceed the "
-            f"enumeration budget of {MONOMIAL_BUDGET}"
+            f"counting the degrees of {space} up to {d_hi} at p = {p} takes up to "
+            f"{work} steps, over the limit of {DP_WORK_LIMIT}"
         )
+    return work
 
 
 def _monomial_degrees(space: SpaceType, d_lo: int, d_hi: int) -> tuple[tuple[int, int], ...]:
     """The monomial degrees in ``[d_lo, d_hi]`` of the height-(p+1) truncated
     algebra on the generators of ``space``, with the number of monomials
-    realising each.  Since the generators are sorted, a sum of ``length`` of
-    them adds at least ``(length - 1) * m_1`` to its largest one, so only the
-    generators ``<= d_hi - (length - 1) * m_1`` are combined."""
+    realising each, once :func:`check_dp_work` admits them.
+
+    ``rows[l]`` maps each degree ``<= d_hi`` of a word of length ``l`` to its
+    number of words.  It starts with the words in ``m_1`` alone, one of each
+    length; each further generator ``g`` extends the rows by increasing
+    length, ``rows[l][d + g] += rows[l - 1][d]``.  Since ``rows[l - 1]``
+    already counts the words through ``g``, a word may repeat ``g``, and
+    repeated half-degrees stay distinct generators.  A word of length ``l``
+    through ``g`` has degree at least ``(l - 1) * m_1 + g``, which bounds
+    the lengths that ``g`` extends."""
+    check_dp_work(space, d_hi)
     halves = space.halves
+    m1 = halves[0]
+    rows = [{l * m1: 1} for l in range(min(space.ctx.p, d_hi // m1) + 1)]
+    for g in halves[1:bisect_right(halves, d_hi)]:
+        room = d_hi - g
+        prev = rows[0]
+        for row in rows[1:room // m1 + 2]:
+            get = row.get
+            for d, count in prev.items():
+                if d <= room:
+                    row[d + g] = get(d + g, 0) + count
+            prev = row
     counts: dict[int, int] = {}
-    for length in range(1, space.p + 1):
-        cut = bisect_right(halves, d_hi - (length - 1) * halves[0])
-        if not cut:
-            break
-        # combined by position, so repeated half-degrees stay distinct generators
-        for d in map(sum, combinations_with_replacement(halves[:cut], length)):
-            if d_lo <= d <= d_hi:
-                counts[d] = counts.get(d, 0) + 1
+    for row in rows[1:]:
+        get = counts.get
+        for d, count in row.items():
+            if d >= d_lo:
+                counts[d] = get(d, 0) + count
     return tuple(sorted(counts.items()))
 
 
@@ -152,10 +194,10 @@ def monomial_degree_multiplicities(space: SpaceType) -> tuple[tuple[int, int], .
     generators of ``space``: distinct sums of 1..p half-degrees, with the
     number of monomials realising each sum.
 
-    Refuses, before enumerating, an algebra over the monomial budget (see
-    :func:`check_monomial_budget`).  The case filters and the window search
-    read one type's multiset many times, so the last 1,024 are cached."""
-    check_monomial_budget(space)
+    Refuses, before counting, an algebra whose count would take more than
+    :data:`DP_WORK_LIMIT` steps (see :func:`check_dp_work`).  The case
+    filters and the window search read one type's multiset many times, so
+    the last 1,024 are cached."""
     return _monomial_degrees(space, 1, space.p * space.halves[-1])
 
 
@@ -178,14 +220,14 @@ class PsiModule(namedtuple("PsiModule", "space window classes witnesses")):
 def enumerate_classes(space: SpaceType, window: tuple[int, int]) -> PsiModule:
     """Build the windowed module for ``space`` over ``window = (D_lo, D_hi)``.
 
-    Only the monomials of degree ``<= D_hi`` are generated, so the cost
-    follows the window rather than the whole algebra, and the cache of
-    :func:`monomial_degree_multiplicities` is neither read nor filled.  An
-    algebra over the monomial budget is refused all the same."""
+    Only the degrees ``<= D_hi`` are counted, so the cost follows the window
+    rather than the whole algebra, and the cache of
+    :func:`monomial_degree_multiplicities` is neither read nor filled.  A
+    window whose count would take more than :data:`DP_WORK_LIMIT` steps is
+    refused (see :func:`check_dp_work`)."""
     d_lo, d_hi = window
     if d_lo > d_hi:
         raise ValueError("window must satisfy D_lo <= D_hi")
-    check_monomial_budget(space)
     p = space.p
     classes = _monomial_degrees(space, d_lo, d_hi)
     witnesses = tuple(

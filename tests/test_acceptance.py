@@ -17,7 +17,6 @@ from apsieve import (
     main_lemma_sums,
     monomial_count,
     nu,
-    pair_min_val,
     rank_bound,
     theorem_1_1_test,
     verify_relation_42,
@@ -38,6 +37,7 @@ from apsieve.classifier import (
 from apsieve.steenrod import PowerWord, adem_expand, normalize
 
 from conftest import RANK2_TYPES, bigint_val, invoke
+from reference import pair_min_val
 
 
 def _report(line: str):

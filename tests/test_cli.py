@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations_with_replacement
 
 import pytest
@@ -16,9 +17,11 @@ from apsieve import (
     cli,
     condition_report,
     enumerate_classes,
+    psimod,
     theorem_1_1_test,
 )
 from apsieve.cli import main
+from apsieve.psimod import DP_WORK_LIMIT, check_dp_work
 
 from conftest import invoke
 
@@ -244,14 +247,28 @@ def test_thm11_demo_builds_one_module_per_low_part(monkeypatch):
     assert calls == {"enumerate_classes": 701, "condition_report": 247}
 
 
-@pytest.mark.parametrize("p", ["83", "1000000007"])
-def test_thm11_demo_refuses_a_prime_over_the_monomial_budget(p, capsys):
-    # the rank-3 algebra at p = 83 has 102,339 monomials; p = 79 (88,559) runs
+def test_thm11_demo_runs_past_the_old_monomial_budget():
+    # the rank-3 algebra at p = 83 has 102,339 monomials, over the old
+    # 100,000 budget; its windows take at most 307,017 counting steps
+    ctx = PrimeContext(83)
+    assert check_dp_work(SpaceType(ctx, (3, 40, 40)), 83 * 40) == 3 * 102_339
+    res = run("reproduce", "--p", "83", "thm1.1-demo")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["summary"]["uncertified"] == []
+
+
+@pytest.mark.parametrize("p", ["431", "1000000007"])
+def test_thm11_demo_refuses_a_prime_over_the_work_limit(p, capsys):
+    # the demo asks about (3, 40, 40) on [3, 40p], which costs at least as
+    # much as any window it builds; p = 421 is the largest prime admitted
+    assert check_dp_work(SpaceType(PrimeContext(421), (3, 40, 40)), 421 * 40) <= DP_WORK_LIMIT
+    start = time.perf_counter()
     assert main(["reproduce", "--p", p, "thm1.1-demo"], standalone_mode=False) == 2
+    assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("Error: target thm1.1-demo: ") and captured.err.count("\n") == 1
-    assert f"at p = {p}, rank 3 exceed the enumeration budget" in captured.err
+    assert captured.err.startswith("Error: target thm1.1-demo: counting the degrees of (3,40,40)")
+    assert captured.err.endswith(f"over the limit of {DP_WORK_LIMIT}\n") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("target", ["thm1.1-demo", "lemma3.4", "adem", "bound"])
@@ -286,14 +303,22 @@ def test_workers_below_one_is_a_usage_error():
         assert "--workers" in res.output
 
 
-def test_check_type_refuses_oversized_enumeration():
-    halves = ",".join(str(m) for m in range(2, 22))
-    res = run("check-type", "--p", "31", halves)
-    assert res.exit_code == 2
-    assert "budget" in res.output
-    # the monomial count is a closed form, so a huge prime is refused at once
+def test_check_type_refuses_oversized_enumeration(monkeypatch):
+    # the work bound is a closed form, so a huge prime is refused at once
+    start = time.perf_counter()
     res = run("check-type", "--p", "1000000007", "2,3")
-    assert res.exit_code == 2 and "budget" in res.output
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 2 and res.output.count("\n") == 1
+    assert res.output.startswith("Error: bad type '2,3': counting the degrees of (2,3) up to 3000000021")
+    # p = 31 with the 20 generators 2..21 has ~7.7e13 monomials but costs
+    # 189,100 counting steps: refused only under a lower limit
+    halves = ",".join(str(m) for m in range(2, 22))
+    monkeypatch.setattr(psimod, "DP_WORK_LIMIT", 189_099)
+    res = run("check-type", "--p", "31", halves)
+    assert res.exit_code == 2 and res.output.endswith("over the limit of 189099\n")
+    monkeypatch.setattr(psimod, "DP_WORK_LIMIT", 189_100)
+    res = run("check-type", "--p", "31", halves)
+    assert res.exit_code == 0, res.output
 
 
 def test_adem_command():

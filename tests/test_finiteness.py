@@ -34,8 +34,8 @@ def test_monomial_count_is_the_sum_over_word_lengths():
     for p in range(1, 40):
         for r in range(1, 12):
             assert monomial_count(p, r) == sum(math.comb(r + l - 1, l) for l in range(1, p + 1))
-    # the first prime whose rank-3 algebra is over the 100,000 budget, and a
-    # prime whose word lengths no loop could walk
+    # the primes on either side of 100,000 rank-3 monomials, and a prime
+    # whose word lengths no loop could walk
     assert monomial_count(79, 3) == 88_559
     assert monomial_count(83, 3) == 102_339
     assert monomial_count(1_000_000_007, 3) == 166_666_671_166_666_707_000_000_119

@@ -11,17 +11,16 @@ from apsieve import (
     Valuation,
     digit_sum,
     nu,
-    pair_min_val,
     primitive_root_mod_p2,
     val,
     val_factorial,
-    val_power_diff,
 )
 from apsieve import padic
-from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int, multiplicative_order, nu_table
+from apsieve.padic import NU_TABLE_LIMIT, _nu_int, nu_table
 from apsieve.psimod import _run_reaches
 
 from conftest import bigint_val
+from reference import multiplicative_order, pair_min_int, pair_min_val, val_power_diff
 
 
 def test_valuation_sentinel_algebra():
@@ -289,7 +288,7 @@ def test_run_reaches_from_table(p, degrees):
 
     def holds(a, b):
         run = degrees[a:b]
-        return all(sum(_pair_min_int(ctx, t_i, t_j) for t_j in run if t_j != t_i) < t_i
+        return all(sum(pair_min_int(ctx, t_i, t_j) for t_j in run if t_j != t_i) < t_i
                    for t_i in run)
 
     expected = []

@@ -2,7 +2,7 @@ import random
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from apsieve import (
     PrimeContext,
@@ -12,14 +12,15 @@ from apsieve import (
     enumerate_classes,
     gcd_oracle,
     main_lemma_sums,
-    monomial_count,
     theorem_1_1_test,
     wilkerson_filter_1,
     wilkerson_filter_2,
 )
 from apsieve import psimod
-from apsieve.padic import NU_TABLE_LIMIT, _nu_int, _pair_min_int, nu
-from apsieve.psimod import MONOMIAL_BUDGET, low_degree_gcd, monomial_degree_multiplicities
+from apsieve.padic import NU_TABLE_LIMIT, _nu_int, nu
+from apsieve.psimod import DP_WORK_LIMIT, check_dp_work, low_degree_gcd, monomial_degree_multiplicities
+
+from reference import pair_min_int, walk_monomial_degrees
 
 
 def test_space_type_validation(ctx3):
@@ -237,7 +238,7 @@ def test_eliminate_by_psi_239_is_inconclusive(ctx3):
 
 def _reference_report(module):
     """The condition report as ``ConditionReport.as_dict()``, every term
-    through ``_nu_int`` / ``_pair_min_int``: no nu table, no prefix sums."""
+    through ``_nu_int`` / ``pair_min_int``: no nu table, no prefix sums."""
     ctx = module.space.ctx
     degrees = module.degrees()
     classes = []
@@ -247,7 +248,7 @@ def _reference_report(module):
             if j == i:
                 continue
             b += _nu_int(ctx, t_i - t_j)
-            v += _pair_min_int(ctx, t_i, t_j)
+            v += pair_min_int(ctx, t_i, t_j)
         classes.append({"degree": t_i, "valuation_sum": v, "nu_bound": b, "passes": v < t_i})
     return {
         "window": list(module.window),
@@ -258,7 +259,7 @@ def _reference_report(module):
 
 
 def _reference_holds(module):
-    """Whether every class passes, by ``_pair_min_int`` per pair; stops at
+    """Whether every class passes, by ``pair_min_int`` per pair; stops at
     the first class whose partial sum reaches its degree."""
     ctx = module.space.ctx
     degrees = module.degrees()
@@ -266,7 +267,7 @@ def _reference_holds(module):
         v = 0
         for j, t_j in enumerate(degrees):
             if j != i:
-                v += _pair_min_int(ctx, t_i, t_j)
+                v += pair_min_int(ctx, t_i, t_j)
                 if v >= t_i:
                     return False
     return True
@@ -499,7 +500,8 @@ def test_bottom_window_reads_only_the_low_part(p, counts):
     # generators above p*m_1 reach no degree in [m_1, p*m_1], so every
     # gcd-failing type of rank <= 3 up to 40 and its low part (the
     # half-degrees <= p*m_1) have the same bottom-window classes, and m_1,
-    # with m_1 and p*m_1 both in the window, is a witness of each
+    # with m_1 and p*m_1 both in the window, is a witness of each; the low
+    # parts' windows are those thm1.1-demo builds, each checked on the walk
     ctx = PrimeContext(p)
     low_classes = {}
     types = 0
@@ -512,7 +514,9 @@ def test_bottom_window_reads_only_the_low_part(p, counts):
             window = (halves[0], p * halves[0])
             low = tuple(m for m in halves if m <= p * halves[0])
             if low not in low_classes:
-                low_module = enumerate_classes(SpaceType(ctx, low), window)
+                low_space = SpaceType(ctx, low)
+                low_module = enumerate_classes(low_space, window)
+                assert low_module.classes == walk_monomial_degrees(low_space, *window), low
                 assert halves[0] in low_module.witnesses, low
                 low_classes[low] = low_module.classes
             module = enumerate_classes(space, window)
@@ -569,17 +573,56 @@ def test_window_search_internal_error_guard(ctx3, monkeypatch):
         eliminate_by_psi(SpaceType(ctx3, (4, 8, 12)))
 
 
-def test_monomial_budget(ctx5, monkeypatch):
-    # refused before enumerating: p = 31, rank 20 would have ~7.7e13 monomials
-    assert monomial_count(31, 20) > MONOMIAL_BUDGET
-    with pytest.raises(ValueError, match="budget"):
-        monomial_degree_multiplicities(SpaceType(PrimeContext(31), tuple(range(2, 22))))
-    # the budget is inclusive; p = 5, rank 3 (55 monomials) is the largest
-    # input the pipeline meets
+def test_dp_work_limit(ctx3, ctx5, monkeypatch):
+    # the bound is r * min(C(r + K, K) - 1, spread * K * (K + 1) / 2 + K)
+    # over the generators <= d_hi, with K = min(p, d_hi // m_1)
+    assert check_dp_work(SpaceType(ctx5, (2, 3, 4))) == 3 * min(55, 2 * 15 + 5) == 105
+    # up to 8, only 2 and 3 take part and K = 4; with two 2s each row
+    # holds one degree
+    assert check_dp_work(SpaceType(ctx5, (2, 3, 40)), 8) == 2 * min(15 - 1, 1 * 10 + 4) == 28
+    assert check_dp_work(SpaceType(ctx5, (2, 2, 40)), 8) == 2 * min(15 - 1, 0 * 10 + 4) == 8
+    assert check_dp_work(SpaceType(ctx5, (3, 4)), 2) == 0
+    # every input the 100,000-monomial budget admitted is admitted: p = 3
+    # with 82 generators (98,769 monomials) and p = 79 at rank 3 (88,559),
+    # each with a spread too wide for the spread term to help
+    assert check_dp_work(SpaceType(ctx3, (2,) * 81 + (10**6,))) == 82 * 98_769 <= DP_WORK_LIMIT
+    assert check_dp_work(SpaceType(PrimeContext(79), (2, 3, 10**6))) == 3 * 88_559
+    # the budget refused p = 31 with 20 generators (~7.7e13 monomials), but
+    # the spread of 2..21 keeps the count small
+    space = SpaceType(PrimeContext(31), tuple(range(2, 22)))
+    assert check_dp_work(space) == 20 * (19 * 31 * 32 // 2 + 31) == 189_100
+    # the limit is inclusive and is checked before any row is built
     uncached = monomial_degree_multiplicities.__wrapped__
     space = SpaceType(ctx5, (2, 3, 4))
-    monkeypatch.setattr(psimod, "MONOMIAL_BUDGET", 55)
+    monkeypatch.setattr(psimod, "DP_WORK_LIMIT", 105)
     assert sum(mult for _, mult in uncached(space)) == 55
-    monkeypatch.setattr(psimod, "MONOMIAL_BUDGET", 54)
-    with pytest.raises(ValueError, match="budget"):
+    monkeypatch.setattr(psimod, "DP_WORK_LIMIT", 104)
+    with pytest.raises(ValueError, match="takes up to 105 steps, over the limit of 104"):
         uncached(space)
+    # a window is checked on its own generators and word lengths: K = 5
+    # from D_hi = 10 on, 4 below
+    with pytest.raises(ValueError, match="takes up to 105 steps"):
+        enumerate_classes(space, (2, 10))
+    assert check_dp_work(space, 9) == 3 * min(35 - 1, 2 * 10 + 4) == 72
+    assert enumerate_classes(space, (2, 9)).degrees() == tuple(range(2, 10))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11]),
+    halves=st.lists(st.integers(min_value=2, max_value=30), min_size=1, max_size=4).map(sorted),
+    ends=st.lists(st.integers(min_value=0, max_value=120), min_size=2, max_size=2).map(sorted),
+)
+@example(p=3, halves=[3, 3, 3], ends=[0, 100])  # repeated half-degrees
+@example(p=5, halves=[2, 2, 7, 7], ends=[10, 60])
+@example(p=5, halves=[7, 9], ends=[0, 13])  # D_hi = 5 < m_1
+@example(p=7, halves=[4, 5], ends=[0, 120])  # D_hi = 42 > p * m_r = 35
+@example(p=11, halves=[30, 30, 30, 30], ends=[100, 100])
+def test_counted_degrees_match_the_walk(p, halves, ends):
+    # the window's ends are percentages of p * m_r, so windows fall below
+    # m_1, inside the algebra and past its top degree
+    space = SpaceType(PrimeContext(p), tuple(halves))
+    top = p * halves[-1]
+    d_lo, d_hi = (top * e // 100 for e in ends)
+    assert enumerate_classes(space, (d_lo, d_hi)).classes == walk_monomial_degrees(space, d_lo, d_hi)
+    assert monomial_degree_multiplicities.__wrapped__(space) == walk_monomial_degrees(space, 1, top)
