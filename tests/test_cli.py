@@ -247,7 +247,7 @@ def test_thm11_demo_builds_one_module_per_low_part(monkeypatch):
     assert calls == {"enumerate_classes": 701, "condition_report": 247}
 
 
-def test_thm11_demo_runs_past_the_old_monomial_budget():
+def test_thm11_demo_runs_at_p_83():
     # the rank-3 algebra at p = 83 has 102,339 monomials, over the old
     # 100,000 budget; its windows take at most 307,017 counting steps
     ctx = PrimeContext(83)
