@@ -453,6 +453,7 @@ def _finish(deriv: Derivation, rule_id: str, space: SpaceType) -> EndgameElimina
 def _rule_e1(space: SpaceType) -> EndgameElimination:
     # (4,6,8): P^4 = P^1 P^3 applied to x4 contains no x4^3 term, against
     # the top-power axiom P^4(x4) = x4^3.
+    _require(4 in space.halves, f"{space} has no generator x4")
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 8, "c")
     _require(_word_is(1, 3, {(4,): 1}), "P^1 P^3 should normalise to P^4")
@@ -498,6 +499,7 @@ def _rule_e3(space: SpaceType) -> EndgameElimination:
 def _rule_e4(space: SpaceType) -> EndgameElimination:
     # (10,12,18): P^1 P^9 (x10) = x10^3 pins P^1(x10) = 0 and
     # P^1(x18) != 0; the P^3 P^7 identity then has no x10^3 on the left.
+    _require(10 in space.halves, f"{space} has no generator x10")
     deriv = Derivation(space)
     _require(_word_is(1, 9, {(10,): 1}), "P^1 P^9 should normalise to P^10")
     lhs1 = deriv.apply_word((1, 9), deriv.generator(10))

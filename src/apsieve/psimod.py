@@ -4,11 +4,12 @@ A candidate space type is a sorted tuple of half-degrees ``m_1 <= ... <= m_r``
 (the odd cohomology generators live in degrees ``2*m_i - 1``).  The sieve
 works with the filtration degrees of the monomials of the associated
 truncated polynomial algebra of height ``p + 1``, restricted to a degree
-window ``[D_lo, D_hi]``.  It reads only the module's distinct degrees and
-their multiplicities, so those are counted, by a dynamic programme over the
-generators graded by word length, rather than read off the monomials one by
-one; the programme's own work, not the algebra's monomial count, decides
-which inputs are refused (:func:`check_dp_work`).
+window ``[D_lo, D_hi]``.  It reads only the module's distinct degrees (equal
+degree means equal eigenvalue), so a module is its sorted degree tuple, found
+by a dynamic programme over the generators graded by word length rather than
+read off the monomials one by one; how many monomials share a degree is
+never counted.  The programme's own work, not the algebra's monomial count,
+decides which inputs are refused (:func:`check_dp_work`).
 
 For each distinct class degree ``t_i`` of such a windowed module the sieve
 computes
@@ -153,74 +154,60 @@ def check_dp_work(space: SpaceType, d_hi: int | None = None) -> int:
     return work
 
 
-def _monomial_degrees(space: SpaceType, d_lo: int, d_hi: int) -> tuple[tuple[int, int], ...]:
-    """The monomial degrees in ``[d_lo, d_hi]`` of the height-(p+1) truncated
-    algebra on the generators of ``space``, with the number of monomials
-    realising each, once :func:`check_dp_work` admits them.
+def _monomial_degrees(space: SpaceType, d_lo: int, d_hi: int) -> tuple[int, ...]:
+    """The sorted monomial degrees in ``[d_lo, d_hi]`` of the height-(p+1)
+    truncated algebra on the generators of ``space``, once
+    :func:`check_dp_work` admits them.
 
-    ``rows[l]`` maps each degree ``<= d_hi`` of a word of length ``l`` to its
-    number of words.  It starts with the words in ``m_1`` alone, one of each
-    length; each further generator ``g`` extends the rows by increasing
-    length, ``rows[l][d + g] += rows[l - 1][d]``.  Since ``rows[l - 1]``
-    already counts the words through ``g``, a word may repeat ``g``, and
-    repeated half-degrees stay distinct generators.  A word of length ``l``
-    through ``g`` has degree at least ``(l - 1) * m_1 + g``, which bounds
-    the lengths that ``g`` extends."""
+    ``rows[l]`` is the set of degrees ``<= d_hi`` of the words of length
+    ``l``.  It starts with the words in ``m_1`` alone, one of each length;
+    each further generator ``g`` extends the rows by increasing length,
+    adding ``d + g`` to ``rows[l]`` for each ``d`` in ``rows[l - 1]``.  Since
+    ``rows[l - 1]`` already holds the words through ``g``, a word may repeat
+    ``g``.  A word of length ``l`` through ``g`` has degree at least
+    ``(l - 1) * m_1 + g``, which bounds the lengths that ``g`` extends."""
     check_dp_work(space, d_hi)
     halves = space.halves
     m1 = halves[0]
-    rows = [{l * m1: 1} for l in range(min(space.ctx.p, d_hi // m1) + 1)]
+    rows = [{l * m1} for l in range(min(space.ctx.p, d_hi // m1) + 1)]
     for g in halves[1:bisect_right(halves, d_hi)]:
         room = d_hi - g
         prev = rows[0]
         for row in rows[1:room // m1 + 2]:
-            get = row.get
-            for d, count in prev.items():
-                if d <= room:
-                    row[d + g] = get(d + g, 0) + count
+            row |= {d + g for d in prev if d <= room}
             prev = row
-    counts: dict[int, int] = {}
-    for row in rows[1:]:
-        get = counts.get
-        for d, count in row.items():
-            if d >= d_lo:
-                counts[d] = get(d, 0) + count
-    return tuple(sorted(counts.items()))
+    degrees = sorted(set().union(*rows[1:]))
+    return tuple(degrees[bisect_left(degrees, d_lo):])
 
 
 @lru_cache(maxsize=1024)
-def monomial_degree_multiplicities(space: SpaceType) -> tuple[tuple[int, int], ...]:
-    """All monomial degrees of the height-(p+1) truncated algebra on the
-    generators of ``space``: distinct sums of 1..p half-degrees, with the
-    number of monomials realising each sum.
-
-    Refuses, before counting, an algebra whose count would take more than
-    :data:`DP_WORK_LIMIT` steps (see :func:`check_dp_work`).  The case
-    filters and the window search read one type's multiset many times, so
-    the last 1,024 are cached."""
+def monomial_degree_multiplicities(space: SpaceType) -> tuple[int, ...]:
+    """The sorted monomial degrees of the height-(p+1) truncated algebra on
+    the generators of ``space``: the distinct sums of 1..p half-degrees.  No
+    count per degree, despite the name: ``bench/tracer.py`` wraps this by
+    name and reads its ``cache_info()`` (ROADMAP item 7).  The case filters
+    and the window search read one type's degrees many times, so the last
+    1,024 are cached.  Refused as :func:`check_dp_work` says."""
     return _monomial_degrees(space, 1, space.p * space.halves[-1])
 
 
-class PsiModule(namedtuple("PsiModule", "space window classes witnesses")):
+class PsiModule(namedtuple("PsiModule", "space window degrees witnesses")):
     """Degree data of a windowed truncated-polynomial module.
 
-    ``classes`` holds the distinct degrees inside the window with their
-    monomial multiplicities; all condition arithmetic uses the distinct
-    degrees only, since equal filtration degree means equal eigenvalue.
-    ``witnesses`` lists the generator half-degrees whose p-th power also
-    lies in the window.
+    ``degrees`` holds the distinct monomial degrees inside the window,
+    ascending; the module carries no multiplicities, since equal filtration
+    degree means equal eigenvalue and the condition arithmetic reads each
+    degree once.  ``witnesses`` lists the generator half-degrees whose p-th
+    power also lies in the window.
     """
 
     __slots__ = ()
-
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(t for t, _ in self.classes)
 
 
 def enumerate_classes(space: SpaceType, window: tuple[int, int]) -> PsiModule:
     """Build the windowed module for ``space`` over ``window = (D_lo, D_hi)``.
 
-    Only the degrees ``<= D_hi`` are counted, so the cost follows the window
+    Only the degrees ``<= D_hi`` are found, so the cost follows the window
     rather than the whole algebra, and the cache of
     :func:`monomial_degree_multiplicities` is neither read nor filled.  A
     window whose count would take more than :data:`DP_WORK_LIMIT` steps is
@@ -229,11 +216,9 @@ def enumerate_classes(space: SpaceType, window: tuple[int, int]) -> PsiModule:
     if d_lo > d_hi:
         raise ValueError("window must satisfy D_lo <= D_hi")
     p = space.p
-    classes = _monomial_degrees(space, d_lo, d_hi)
-    witnesses = tuple(
-        sorted({m for m in space.halves if d_lo <= m and p * m <= d_hi})
-    )
-    return PsiModule(space=space, window=(d_lo, d_hi), classes=classes, witnesses=witnesses)
+    witnesses = tuple(sorted({m for m in space.halves if d_lo <= m and p * m <= d_hi}))
+    return PsiModule(space=space, window=(d_lo, d_hi),
+                     degrees=_monomial_degrees(space, d_lo, d_hi), witnesses=witnesses)
 
 
 class ClassCondition(namedtuple("ClassCondition", "degree valuation_sum nu_bound passes")):
@@ -284,7 +269,7 @@ def condition_report(module: PsiModule) -> ConditionReport:
     so it re-checks a window by a route independent of the search's run
     sweep.
     """
-    degrees = module.degrees()
+    degrees = module.degrees
     if len(degrees) < 2:
         raise ValueError("condition_report needs at least 2 classes")
     if len(set(degrees)) != len(degrees):
@@ -335,10 +320,10 @@ class PsiCertificate(namedtuple("PsiCertificate", "window report witness windows
     __slots__ = ()
 
     def replay(self) -> bool:
-        """Re-derive the certificate from the window alone."""
-        module = enumerate_classes(self.report.module.space, self.window)
-        rep = condition_report(module)
-        return rep.holds_everywhere and self.witness in module.witnesses
+        """Re-derive the report from the window alone: it must equal the
+        recorded one, hold everywhere and hold the witness."""
+        rep = condition_report(enumerate_classes(self.report.module.space, self.window))
+        return rep == self.report and rep.holds_everywhere and self.witness in rep.module.witnesses
 
     def as_dict(self) -> dict:
         return {
@@ -428,7 +413,7 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     """
     if policy not in ("standard", "exhaustive"):
         raise ValueError(f"unknown window policy {policy!r}")
-    degrees = [t for t, _ in monomial_degree_multiplicities(space)]
+    degrees = monomial_degree_multiplicities(space)
     p = space.p
     halves = space.halves
     tops = {p * m for m in halves}
@@ -478,7 +463,7 @@ def gcd_oracle(module: PsiModule, class_index: int, k_max: int) -> Valuation:
     ctx = module.space.ctx
     if k_max < max(ctx.p, ctx.k0):
         raise ValueError("k_max must be at least max(p, k0) for an exact answer")
-    degrees = module.degrees()
+    degrees = module.degrees
     if len(set(degrees)) != len(degrees):
         raise ValueError("duplicate class degrees; merge before calling the oracle")
     t_i = degrees[class_index]

@@ -316,7 +316,7 @@ def basis_monomials(space: SpaceType, half_degree: int) -> list[tuple[int, ...]]
 
 def degree_realizable(space: SpaceType, d: int) -> bool:
     """True when ``d`` is a sum of 1..p half-degrees of the type."""
-    return any(t == d for t, _ in monomial_degree_multiplicities(space))
+    return d in monomial_degree_multiplicities(space)
 
 
 class SymbolicElement:

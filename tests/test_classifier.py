@@ -17,6 +17,7 @@ from apsieve import (
     wilkerson_filter_2,
 )
 from apsieve.classifier import (
+    _ENDGAME_DISPATCH,
     PROP_CASE1,
     PROP_CASE2,
     PROP_CASE3,
@@ -25,6 +26,7 @@ from apsieve.classifier import (
     QUASI_REGULAR_TYPES,
     STEENROD_TARGETS,
     SURVIVORS,
+    EndgameEncodingError,
     FilterResult,
     Verdict,
     VerdictKind,
@@ -149,6 +151,35 @@ def test_endgame_rules_eliminate_all_targets(ctx3):
         assert elim is not None, halves
         assert elim.trace
     assert endgame_rules(SpaceType(ctx3, (2, 4, 6))) is None
+
+
+def test_endgame_rules_fire_where_their_premises_hold(ctx3):
+    # every scripted rule run on every cap-60 candidate, not only its own
+    # target: E6 and E7 are one argument, and E8's premise also holds for
+    # (2,3,9) (ROADMAP item 5); any other run fails a guarded premise
+    fires = {
+        "E1": {(4, 6, 8)},
+        "E2": {(3, 5, 9)},
+        "E3": {(8, 12, 14)},
+        "E4": {(10, 12, 18)},
+        "E5": {(12, 18, 20)},
+        "E6": {(2, 12, 18), (7, 12, 18)},
+        "E7": {(2, 12, 18), (7, 12, 18)},
+        "E8": {(2, 3, 6), (2, 3, 9)},
+    }
+    candidates = PROP_CASE1 + PROP_CASE2 + PROP_CASE3 + PROP_CASE4
+    assert len(set(candidates)) == 27
+    fired = {}
+    for rule_id, rule in _ENDGAME_DISPATCH.values():
+        for halves in candidates:
+            try:
+                elim = rule(SpaceType(ctx3, halves))
+            except EndgameEncodingError:
+                continue
+            assert elim.rule_id == rule_id
+            fired.setdefault(rule_id, set()).add(halves)
+    assert fired == fires
+    assert not set().union(*fired.values()) & set(SURVIVORS + QUASI_REGULAR_TYPES)
 
 
 def test_endgame_traces_replay(ctx3):

@@ -214,7 +214,7 @@ def test_thm11_demo_lists_the_types_of_uncertified_low_parts(p, failing, monkeyp
     # list each type of those low parts, tails included, in the order of the
     # per-type reference
     def holds(module):
-        return 9 not in module.degrees() and _holds_everywhere(module)
+        return 9 not in module.degrees and _holds_everywhere(module)
 
     def failing_report(module):
         return condition_report(module)._replace(holds_everywhere=holds(module))
@@ -430,6 +430,27 @@ def test_check_type_oracle_and_policy():
     assert entry["reason"] == "PsiCondition"
     assert any("oracle" in line for line in entry["trace"])
     assert run("check-type", "--p", "3", "2,4,6", "--oracle", "--k-max", "2").exit_code == 2
+
+
+def test_k_max_is_read_only_with_the_oracle_and_bounded():
+    ceiling = cli._ORACLE_K_CEILING
+    for args, message in [
+        (("--k-max", "-5", "4,8,12"), "--k-max is read only with --oracle"),
+        (("--k-max", "7", "2,4,6"), "--k-max is read only with --oracle"),
+        (("--no-oracle", "--k-max", "50", "2,4,6"), "--k-max is read only with --oracle"),
+        (("--oracle", "--k-max", "100000000", "2,4,6"), f"k-max must be at most {ceiling}"),
+        (("--oracle", "--k-max", str(ceiling + 1), "2,4,6"), f"k-max must be at most {ceiling}"),
+        (("--oracle", "--k-max", "2", "2,4,6"), "k-max must be at least max(p, k0) = 3"),
+    ]:
+        res = run("check-type", *args)
+        assert (res.exit_code, res.output) == (2, f"Error: {message}\n"), args
+    # the default is recorded as before, and the ceiling itself is admitted
+    default = run("check-type", "--oracle", "2,21,27")
+    assert json.loads(default.output)["config"]["k_max"] == cli._ORACLE_K_MAX == 50
+    assert run("check-type", "--oracle", "--k-max", "50", "2,21,27") == default
+    assert json.loads(run("check-type", "2,21,27").output)["config"]["k_max"] is None
+    res = run("check-type", "--oracle", "--k-max", str(ceiling), "2,4,6")
+    assert res.exit_code == 0 and json.loads(res.output)["config"]["k_max"] == ceiling
 
 
 def test_bound_command():

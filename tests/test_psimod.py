@@ -56,20 +56,19 @@ def test_space_type_is_an_immutable_value(ctx3):
 
 def test_enumerate_classes_239(ctx3):
     module = enumerate_classes(SpaceType(ctx3, (2, 3, 9)), (1, 27))
-    assert len(module.classes) == 17
-    assert sum(mult for _, mult in module.classes) == 19
-    assert module.degrees() == (2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 18, 20, 21, 27)
+    assert len(module.degrees) == 17
+    assert module.degrees == (2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 14, 15, 18, 20, 21, 27)
 
 
 def test_enumerate_classes_4812(ctx3):
     module = enumerate_classes(SpaceType(ctx3, (4, 8, 12)), (4, 12))
-    assert module.classes == ((4, 1), (8, 2), (12, 3))
+    assert module.degrees == (4, 8, 12)
     assert module.witnesses == (4,)
 
 
 def test_enumerate_classes_single_generator(ctx3):
     module = enumerate_classes(SpaceType(ctx3, (2,)), (1, 6))
-    assert module.degrees() == (2, 4, 6)
+    assert module.degrees == (2, 4, 6)
 
 
 def test_condition_report_4812(ctx3):
@@ -123,7 +122,7 @@ def test_exactness_against_gcd_oracle():
             halves = tuple(sorted(rng.sample(range(2, 30), rank)))
             space = SpaceType(ctx, halves)
             module = enumerate_classes(space, (2, 100))
-            if not (2 <= len(module.classes) <= 12):
+            if not (2 <= len(module.degrees) <= 12):
                 continue
             report = condition_report(module)
             for idx, cond in enumerate(report.per_class):
@@ -215,6 +214,11 @@ def test_eliminate_by_psi_pinned_windows(ctx3):
     assert eliminate_by_psi(SpaceType(ctx3, (2, 4, 6))) is None
     cert3 = eliminate_by_psi(SpaceType(ctx3, (18, 24, 26)))
     assert cert3 is not None and cert3.replay()
+    # a recorded report that differs from the window's own does not replay
+    forged = cert.report._replace(
+        per_class=tuple(c._replace(valuation_sum=0) for c in cert.report.per_class))
+    assert not cert._replace(report=forged).replay()
+    assert not cert._replace(witness=8).replay()
 
 
 def test_eliminate_by_psi_certificates_replay(ctx3):
@@ -240,7 +244,7 @@ def _reference_report(module):
     """The condition report as ``ConditionReport.as_dict()``, every term
     through ``_nu_int`` / ``pair_min_int``: no nu table, no prefix sums."""
     ctx = module.space.ctx
-    degrees = module.degrees()
+    degrees = module.degrees
     classes = []
     for i, t_i in enumerate(degrees):
         v = b = 0
@@ -262,7 +266,7 @@ def _reference_holds(module):
     """Whether every class passes, by ``pair_min_int`` per pair; stops at
     the first class whose partial sum reaches its degree."""
     ctx = module.space.ctx
-    degrees = module.degrees()
+    degrees = module.degrees
     for i, t_i in enumerate(degrees):
         v = 0
         for j, t_j in enumerate(degrees):
@@ -279,7 +283,8 @@ def _reference_search(space, policy):
     filters as ``eliminate_by_psi``, no run sweep.  Returns the window, the
     witness, the report and the number of windows with at least two classes
     that passed the filters, the certifying one included."""
-    degrees = [t for t, _ in monomial_degree_multiplicities(space)]
+    full = _reference_multiplicities(space)
+    degrees = _degrees(full)
     p = space.p
     tops = {p * m for m in space.halves}
     if policy == "exhaustive":
@@ -287,7 +292,6 @@ def _reference_search(space, policy):
     tops = sorted(tops, reverse=True)
     bottom_window = (degrees[0], p * space.halves[0])
     bottom_gated = theorem_1_1_test(space).passed
-    full = _reference_multiplicities(space)
     tried = 0
     for d_lo in degrees:
         for d_hi in tops:
@@ -298,8 +302,8 @@ def _reference_search(space, policy):
             if bottom_gated and (d_lo, d_hi) == bottom_window:
                 continue
             module = enumerate_classes(space, (d_lo, d_hi))
-            assert module.classes == _reference_classes(full, (d_lo, d_hi)), (space, d_lo, d_hi)
-            if len(module.classes) < 2:
+            assert module.degrees == _reference_degrees(full, (d_lo, d_hi)), (space, d_lo, d_hi)
+            if len(module.degrees) < 2:
                 continue
             tried += 1
             if _reference_holds(module):
@@ -355,7 +359,7 @@ def _assert_bottom_reports_match_reference(spaces):
     for space in spaces:
         window = (space.halves[0], space.p * space.halves[0])
         module = enumerate_classes(space, window)
-        assert module.classes == _reference_classes(_reference_multiplicities(space), window)
+        assert module.degrees == _reference_degrees(_reference_multiplicities(space), window)
         assert condition_report(module).as_dict() == _reference_report(module), space.halves
 
 
@@ -386,7 +390,7 @@ def test_classes_in_distinct_residues_sum_to_zero():
     # pair minimum vanish
     ctx7 = PrimeContext(7)
     module = enumerate_classes(SpaceType(ctx7, (2, 3)), (2, 5))
-    assert module.degrees() == (2, 3, 4, 5)
+    assert module.degrees == (2, 3, 4, 5)
     report = condition_report(module)
     assert report.as_dict() == _reference_report(module)
     assert all(c.valuation_sum == c.nu_bound == 0 for c in report.per_class)
@@ -408,7 +412,7 @@ def test_failing_run_fails_when_grown(p, halves, data):
     # rests on this.  From a drawn low end the passing runs are a prefix of
     # the ends, and towards a drawn end a prefix of the low ends
     space = SpaceType(PrimeContext(p), tuple(halves))
-    degrees = [t for t, _ in monomial_degree_multiplicities(space)]
+    degrees = monomial_degree_multiplicities(space)
     n = len(degrees)
 
     def holds(lo, hi):
@@ -432,7 +436,7 @@ def test_condition_report_matches_reference_below_the_level_count():
         for rest in combinations_with_replacement(range(2, top + 1), rank - 1):
             space = SpaceType(ctx, (2, *rest))
             d_hi = p * space.halves[-1]
-            for t_a, _ in monomial_degree_multiplicities(space)[:-1]:
+            for t_a in monomial_degree_multiplicities(space)[:-1]:
                 module = enumerate_classes(space, (t_a, d_hi))
                 report = condition_report(module)
                 assert report.as_dict() == _reference_report(module), (space.halves, t_a)
@@ -452,10 +456,15 @@ def _reference_multiplicities(space):
     return tuple(sorted(counts.items()))
 
 
-def _reference_classes(multiplicities, window):
-    """The classes of ``window``, filtered from the full multiset."""
+def _degrees(multiplicities):
+    """The degrees of a reference's ``(degree, count)`` pairs."""
+    return tuple(t for t, _ in multiplicities)
+
+
+def _reference_degrees(multiplicities, window):
+    """The degrees in ``window``, filtered from the full multiset."""
     d_lo, d_hi = window
-    return tuple((t, mult) for t, mult in multiplicities if d_lo <= t <= d_hi)
+    return tuple(t for t, _ in multiplicities if d_lo <= t <= d_hi)
 
 
 def test_enumerate_classes_matches_reference_on_every_window():
@@ -472,11 +481,11 @@ def test_enumerate_classes_matches_reference_on_every_window():
         top = space.p * space.halves[-1] + 1
         for d_lo in range(top + 1):
             for d_hi in range(d_lo, top + 1):
-                classes = enumerate_classes(space, (d_lo, d_hi)).classes
-                assert classes == _reference_classes(full, (d_lo, d_hi)), (space, d_lo, d_hi)
-                empty += not classes
+                degrees = enumerate_classes(space, (d_lo, d_hi)).degrees
+                assert degrees == _reference_degrees(full, (d_lo, d_hi)), (space, d_lo, d_hi)
+                empty += not degrees
     assert empty > 0
-    assert enumerate_classes(SpaceType(PrimeContext(3), (4, 8, 12)), (13, 15)).classes == ()
+    assert enumerate_classes(SpaceType(PrimeContext(3), (4, 8, 12)), (13, 15)).degrees == ()
     with pytest.raises(ValueError):
         enumerate_classes(SpaceType(PrimeContext(3), (4, 8, 12)), (5, 4))
 
@@ -487,7 +496,7 @@ def test_condition_report_reads_only_the_degrees(ctx3):
     a = enumerate_classes(SpaceType(ctx3, (2, 5, 7)), (2, 6))
     b = enumerate_classes(SpaceType(ctx3, (2, 5, 40)), (2, 6))
     assert a.space != b.space
-    assert a.degrees() == b.degrees() == (2, 4, 5, 6)
+    assert a.degrees == b.degrees == (2, 4, 5, 6)
     assert condition_report(a).per_class == condition_report(b).per_class
 
 
@@ -503,7 +512,7 @@ def test_bottom_window_reads_only_the_low_part(p, counts):
     # with m_1 and p*m_1 both in the window, is a witness of each; the low
     # parts' windows are those thm1.1-demo builds, each checked on the walk
     ctx = PrimeContext(p)
-    low_classes = {}
+    low_degrees = {}
     types = 0
     for rank in (1, 2, 3):
         for halves in combinations_with_replacement(range(2, 41), rank):
@@ -513,17 +522,17 @@ def test_bottom_window_reads_only_the_low_part(p, counts):
             types += 1
             window = (halves[0], p * halves[0])
             low = tuple(m for m in halves if m <= p * halves[0])
-            if low not in low_classes:
+            if low not in low_degrees:
                 low_space = SpaceType(ctx, low)
                 low_module = enumerate_classes(low_space, window)
-                assert low_module.classes == walk_monomial_degrees(low_space, *window), low
+                walk = walk_monomial_degrees(low_space, *window)
+                assert low_module.degrees == _degrees(walk), low
                 assert halves[0] in low_module.witnesses, low
-                low_classes[low] = low_module.classes
+                low_degrees[low] = low_module.degrees
             module = enumerate_classes(space, window)
-            assert module.classes == low_classes[low], halves
+            assert module.degrees == low_degrees[low], halves
             assert halves[0] in module.witnesses, halves
-    degree_tuples = {tuple(t for t, _ in classes) for classes in low_classes.values()}
-    assert (types, len(low_classes), len(degree_tuples)) == counts
+    assert (types, len(low_degrees), len(set(low_degrees.values()))) == counts
 
 
 def test_monomial_degree_multiplicities_match_reference():
@@ -534,9 +543,8 @@ def test_monomial_degree_multiplicities_match_reference():
         # repeated half-degrees are distinct generators of equal degree
         spaces += [SpaceType(ctx, (2, 2, 4)), SpaceType(ctx, (3, 3, 3))]
     for space in spaces:
-        assert monomial_degree_multiplicities(space) == _reference_multiplicities(space), space
-    # three generators of degree 3 reach degree 6 by all six products x_a * x_b, a <= b
-    assert dict(monomial_degree_multiplicities(SpaceType(PrimeContext(3), (3, 3, 3))))[6] == 6
+        reference = _reference_multiplicities(space)
+        assert monomial_degree_multiplicities(space) == _degrees(reference), space
 
 
 def test_degrees_past_the_nu_table_limit(ctx3, ctx5):
@@ -556,9 +564,9 @@ def test_condition_report_any_class_order(ctx5):
     rng = random.Random(5)
     for halves in [(2, 3, 4), (3, 7, 11), (4, 9, 16), (6, 10, 19)]:
         module = enumerate_classes(SpaceType(ctx5, halves), (2, 100))
-        classes = list(module.classes)
-        rng.shuffle(classes)
-        shuffled = module._replace(classes=tuple(classes))
+        degrees = list(module.degrees)
+        rng.shuffle(degrees)
+        shuffled = module._replace(degrees=tuple(degrees))
         assert condition_report(shuffled).as_dict() == _reference_report(shuffled)
 
 
@@ -595,7 +603,7 @@ def test_dp_work_limit(ctx3, ctx5, monkeypatch):
     uncached = monomial_degree_multiplicities.__wrapped__
     space = SpaceType(ctx5, (2, 3, 4))
     monkeypatch.setattr(psimod, "DP_WORK_LIMIT", 105)
-    assert sum(mult for _, mult in uncached(space)) == 55
+    assert uncached(space) == tuple(range(2, 21))
     monkeypatch.setattr(psimod, "DP_WORK_LIMIT", 104)
     with pytest.raises(ValueError, match="takes up to 105 steps, over the limit of 104"):
         uncached(space)
@@ -604,7 +612,7 @@ def test_dp_work_limit(ctx3, ctx5, monkeypatch):
     with pytest.raises(ValueError, match="takes up to 105 steps"):
         enumerate_classes(space, (2, 10))
     assert check_dp_work(space, 9) == 3 * min(35 - 1, 2 * 10 + 4) == 72
-    assert enumerate_classes(space, (2, 9)).degrees() == tuple(range(2, 10))
+    assert enumerate_classes(space, (2, 9)).degrees == tuple(range(2, 10))
 
 
 @settings(max_examples=400, deadline=None)
@@ -624,5 +632,7 @@ def test_counted_degrees_match_the_walk(p, halves, ends):
     space = SpaceType(PrimeContext(p), tuple(halves))
     top = p * halves[-1]
     d_lo, d_hi = (top * e // 100 for e in ends)
-    assert enumerate_classes(space, (d_lo, d_hi)).classes == walk_monomial_degrees(space, d_lo, d_hi)
-    assert monomial_degree_multiplicities.__wrapped__(space) == walk_monomial_degrees(space, 1, top)
+    walk = walk_monomial_degrees(space, d_lo, d_hi)
+    assert enumerate_classes(space, (d_lo, d_hi)).degrees == _degrees(walk)
+    walk = walk_monomial_degrees(space, 1, top)
+    assert monomial_degree_multiplicities.__wrapped__(space) == _degrees(walk)
