@@ -29,6 +29,7 @@ from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
+from .finiteness import _ilog
 from .padic import PrimeContext, val
 from .psimod import (
     SpaceType,
@@ -41,6 +42,7 @@ from .psimod import (
 from .steenrod import (
     Derivation,
     RelationShapeError,
+    SymbolicElement,
     basis_monomials,
     degree_realizable,
     normalize,
@@ -114,28 +116,13 @@ class VerdictKind(str, Enum):
     ELIMINATED = "eliminated"
 
 
-class Verdict:
-    """Per-type outcome with a machine-checkable certificate reference.
+class Verdict(
+    namedtuple("Verdict", "space kind reason certificate trace corroborating",
+               defaults=(None, None, (), ()))
+):
+    """Per-type outcome with a machine-checkable certificate reference."""
 
-    ``trace`` and ``corroborating`` default to a fresh list per verdict."""
-
-    __slots__ = ("space", "kind", "reason", "certificate", "trace", "corroborating")
-
-    def __init__(
-        self,
-        space: SpaceType,
-        kind: VerdictKind,
-        reason: str | None = None,
-        certificate: dict | None = None,
-        trace: list[str] | None = None,
-        corroborating: list[str] | None = None,
-    ):
-        self.space = space
-        self.kind = kind
-        self.reason = reason
-        self.certificate = certificate
-        self.trace = [] if trace is None else trace
-        self.corroborating = [] if corroborating is None else corroborating
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -272,9 +259,7 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
     if not applicable:
         return Lemma43Result(False, False, "hypotheses not met")
 
-    log_mr = 0
-    while 3 ** (log_mr + 1) <= m - r:
-        log_mr += 1
+    log_mr = _ilog(3, m - r)
 
     if subcase == 1:
         holds = 8 * en.value + 23 >= n
@@ -394,14 +379,10 @@ class EndgameEncodingError(RuntimeError):
     """A rule's verified premise failed; the encoding, not the argument."""
 
 
-class EndgameElimination:
-    __slots__ = ("rule_id", "space", "trace", "constraint_count")
-
-    def __init__(self, rule_id: str, space: SpaceType, trace: list[str], constraint_count: int):
-        self.rule_id = rule_id
-        self.space = space
-        self.trace = trace
-        self.constraint_count = constraint_count
+class EndgameElimination(
+    namedtuple("EndgameElimination", "rule_id space trace constraint_count")
+):
+    __slots__ = ()
 
     def as_dict(self) -> dict:
         return {
@@ -416,21 +397,33 @@ def _require(cond: bool, msg: str):
         raise EndgameEncodingError(msg)
 
 
-def _require_relation_42(k: int):
+def _identity(deriv: Derivation, word: tuple[int, ...], g: int,
+              expected: dict[tuple[int, ...], int], note: str):
+    """Equate ``P^word (x_g)`` with the sum of ``c * P^e (x_g)`` over
+    ``expected``, once ``word`` is checked to normalise to exactly that."""
+    got = {w.exponents: w.coefficient for w in normalize(PowerWord(word, 1), 3)}
+    _require(got == expected, f"P^{word} normalises to {got}, not {expected}")
+    x = deriv.generator(g)
+    rhs = deriv.zero()
+    for e, c in expected.items():
+        rhs = rhs + deriv.apply_word(e, x).scale(c)
+    deriv.equate(deriv.apply_word(word, x), rhs, note)
+
+
+def _relation_42(deriv: Derivation, k: int, element: SymbolicElement, note: str):
+    """Equate ``P^1 P^3 P^(3k-1)`` with ``2 P^(3k+2) P^1`` on ``element``,
+    once :func:`verify_relation_42` holds for ``k``."""
     try:
-        return verify_relation_42(k)
+        verify_relation_42(k)
     except RelationShapeError as exc:  # pragma: no cover - encoding guard
         raise EndgameEncodingError(str(exc)) from exc
-
-
-def _word_is(a: int, b: int, expected: dict[tuple[int, ...], int]) -> bool:
-    got = {w.exponents: w.coefficient for w in normalize(PowerWord((a, b), 1), 3)}
-    return got == expected
+    lhs = deriv.apply_word((1, 3, 3 * k - 1), element)
+    deriv.equate(lhs, deriv.apply_word((3 * k + 2, 1), element).scale(2), note)
 
 
 def _install_hemmi(deriv: Derivation, space: SpaceType, a: int, n: int, name: str):
     h = hemmi_forced(space, a, n)
-    _require(h.applicable and h.forced, f"forced operation (a={a}, n={n}) not available")
+    _require(h.forced, f"forced operation (a={a}, n={n}) not available")
     c = deriv.fresh_nonzero(name)
     fact = deriv.generator(h.target_half).scale(c)
     deriv.install_fact(
@@ -456,10 +449,7 @@ def _rule_e1(space: SpaceType) -> EndgameElimination:
     _require(4 in space.halves, f"{space} has no generator x4")
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 8, "c")
-    _require(_word_is(1, 3, {(4,): 1}), "P^1 P^3 should normalise to P^4")
-    lhs = deriv.apply_word((1, 3), deriv.generator(4))
-    rhs = deriv.apply_word((4,), deriv.generator(4))
-    deriv.equate(lhs, rhs, "P^1 P^3 (x4) = P^4(x4) = x4^3")
+    _identity(deriv, (1, 3), 4, {(4,): 1}, "P^1 P^3 (x4) = P^4(x4) = x4^3")
     return _finish(deriv, "E1", space)
 
 
@@ -468,11 +458,8 @@ def _rule_e2(space: SpaceType) -> EndgameElimination:
     # forces P^1 P^3 P^2 (x3) = 2c * x5^3 with c != 0.
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 5, "c")
-    _require_relation_42(1)
     _require(not basis_monomials(space, 7), "degree 7 should be empty for (3,5,9)")
-    lhs = deriv.apply_word((1, 3, 2), deriv.generator(3))
-    rhs = deriv.apply_word((5, 1), deriv.generator(3)).scale(2)
-    deriv.equate(lhs, rhs, "P^1 P^3 P^2 (x3) = 2 P^5 P^1 (x3)")
+    _relation_42(deriv, 1, deriv.generator(3), "P^1 P^3 P^2 (x3) = 2 P^5 P^1 (x3)")
     return _finish(deriv, "E2", space)
 
 
@@ -482,17 +469,10 @@ def _rule_e3(space: SpaceType) -> EndgameElimination:
     # needs it alive.
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 14, "c")
-    _require(_word_is(1, 6, {(7,): 1}), "P^1 P^6 should normalise to P^7")
-    _require(_word_is(1, 7, {(8,): 2}), "P^1 P^7 should normalise to 2 P^8")
-    lhs1 = deriv.apply_word((1, 1, 6), deriv.generator(8))
-    rhs1 = deriv.apply_word((8,), deriv.generator(8)).scale(2)
-    deriv.equate(lhs1, rhs1, "P^1 P^1 P^6 (x8) = 2 P^8(x8) = 2 x8^3")
-    _require(_word_is(1, 9, {(10,): 1}), "P^1 P^9 should normalise to P^10")
-    _require(_word_is(1, 10, {(11,): 2}), "P^1 P^10 should normalise to 2 P^11")
-    _require_relation_42(4)
-    lhs2 = deriv.apply_word((1, 3), deriv.apply_word((1, 1, 9), deriv.generator(12)).scale(2))
-    rhs2 = deriv.apply_word((14, 1), deriv.generator(12)).scale(2)
-    deriv.equate(lhs2, rhs2, "P^1 P^3 P^11 (x12) = 2 P^14 P^1 (x12), with P^11 = 2 P^1 P^1 P^9")
+    _identity(deriv, (1, 1, 6), 8, {(8,): 2}, "P^1 P^1 P^6 (x8) = 2 P^8(x8) = 2 x8^3")
+    # the k=4 relation with P^11 = 2 P^1 P^1 P^9 substituted, checked as one word
+    _identity(deriv, (1, 3, 1, 1, 9), 12, {(14, 1): 1},
+              "P^1 P^3 P^11 (x12) = 2 P^14 P^1 (x12), with P^11 = 2 P^1 P^1 P^9")
     return _finish(deriv, "E3", space)
 
 
@@ -501,17 +481,9 @@ def _rule_e4(space: SpaceType) -> EndgameElimination:
     # P^1(x18) != 0; the P^3 P^7 identity then has no x10^3 on the left.
     _require(10 in space.halves, f"{space} has no generator x10")
     deriv = Derivation(space)
-    _require(_word_is(1, 9, {(10,): 1}), "P^1 P^9 should normalise to P^10")
-    lhs1 = deriv.apply_word((1, 9), deriv.generator(10))
-    rhs1 = deriv.apply_word((10,), deriv.generator(10))
-    deriv.equate(lhs1, rhs1, "P^1 P^9 (x10) = P^10(x10) = x10^3")
-    expected = {(10,): 2, (9, 1): 1}
-    _require(_word_is(3, 7, expected), "P^3 P^7 should normalise to -P^10 + P^9 P^1")
-    lhs2 = deriv.apply_word((3, 7), deriv.generator(10))
-    rhs2 = deriv.apply_word((10,), deriv.generator(10)).scale(2) + deriv.apply_word(
-        (9, 1), deriv.generator(10)
-    )
-    deriv.equate(lhs2, rhs2, "P^3 P^7 (x10) = -P^10(x10) + P^9 P^1 (x10)")
+    _identity(deriv, (1, 9), 10, {(10,): 1}, "P^1 P^9 (x10) = P^10(x10) = x10^3")
+    _identity(deriv, (3, 7), 10, {(10,): 2, (9, 1): 1},
+              "P^3 P^7 (x10) = -P^10(x10) + P^9 P^1 (x10)")
     return _finish(deriv, "E4", space)
 
 
@@ -520,17 +492,9 @@ def _rule_e5(space: SpaceType) -> EndgameElimination:
     # P^3 P^9 identity applied to x12 contradicts the truncated product.
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 20, "c")
-    _require_relation_42(6)
-    lhs1 = deriv.apply_word((1, 3, 17), deriv.generator(18))
-    rhs1 = deriv.apply_word((20, 1), deriv.generator(18)).scale(2)
-    deriv.equate(lhs1, rhs1, "P^1 P^3 P^17 (x18) = 2 P^20 P^1 (x18)")
-    expected = {(12,): 1, (11, 1): 1}
-    _require(_word_is(3, 9, expected), "P^3 P^9 should normalise to P^12 + P^11 P^1")
-    lhs2 = deriv.apply_word((3, 9), deriv.generator(12))
-    rhs2 = deriv.apply_word((12,), deriv.generator(12)) + deriv.apply_word(
-        (11, 1), deriv.generator(12)
-    )
-    deriv.equate(lhs2, rhs2, "P^3 P^9 (x12) = P^12(x12) + P^11 P^1 (x12)")
+    _relation_42(deriv, 6, deriv.generator(18), "P^1 P^3 P^17 (x18) = 2 P^20 P^1 (x18)")
+    _identity(deriv, (3, 9), 12, {(12,): 1, (11, 1): 1},
+              "P^3 P^9 (x12) = P^12(x12) + P^11 P^1 (x12)")
     return _finish(deriv, "E5", space)
 
 
@@ -543,13 +507,8 @@ def _rule_e6_e7(space: SpaceType, rule_id: str) -> EndgameElimination:
     _require(top.forced == (12, 3), f"expected the unique forced pair (12, 3), got {top}")
     w = deriv.fresh_nonzero("w")
     deriv.install_fact(12, 3, deriv.generator(18).scale(w), "forced: P^3(x12) = w*x18, w != 0")
-    expected = {(12,): 1, (11, 1): 1}
-    _require(_word_is(3, 9, expected), "P^3 P^9 should normalise to P^12 + P^11 P^1")
-    lhs = deriv.apply_word((3, 9), deriv.generator(12))
-    rhs = deriv.apply_word((12,), deriv.generator(12)) + deriv.apply_word(
-        (11, 1), deriv.generator(12)
-    )
-    deriv.equate(lhs, rhs, "P^3 P^9 (x12) = P^12(x12) + P^11 P^1 (x12)")
+    _identity(deriv, (3, 9), 12, {(12,): 1, (11, 1): 1},
+              "P^3 P^9 (x12) = P^12(x12) + P^11 P^1 (x12)")
     return _finish(deriv, rule_id, space)
 
 
@@ -627,7 +586,7 @@ def _case2_filter(space: SpaceType) -> tuple[bool, str]:
     r, n, m = space.halves
     if r == n - 2 and m < 2 * n - 2 and n % 3 == 2:
         h = hemmi_forced(space, 0, n)
-        if not (h.applicable and h.forced):
+        if not h.forced:
             return False, "case2: forced P^1 unavailable where the argument needs it"
         target = 3 * n - 8
         ok = degree_realizable(space, target)
@@ -638,13 +597,13 @@ def _case2_filter(space: SpaceType) -> tuple[bool, str]:
 def _case3_filter(space: SpaceType) -> tuple[bool, str]:
     r, n, m = space.halves
     h_top = hemmi_forced(space, 0, m)
-    if not (h_top.applicable and h_top.forced):
+    if not h_top.forced:
         return False, "case3: forced P^1(x_n) unavailable"
     if m % 3 == 1:
         if r != n - 2:
             return False, "case3: m = 3k+1 forces r = n-2"
         h_low = hemmi_forced(space, 0, n)
-        if not (h_low.applicable and h_low.forced):
+        if not h_low.forced:
             return False, "case3: forced P^1(x_r) unavailable"
         target = 3 * r - 2
         ok = degree_realizable(space, target)
@@ -657,7 +616,7 @@ def _case3_filter(space: SpaceType) -> tuple[bool, str]:
         l = r // 3
         if l % 3 != 1:
             h_deep = hemmi_forced(space, 1, l + 2)
-            if not (h_deep.applicable and h_deep.forced):
+            if not h_deep.forced:
                 return False, "case3: forced P^3(x_r) unavailable in the (r, r+6, r+8) family"
             deep_target = 9 * l - 2
             ok = degree_realizable(space, deep_target)
@@ -727,7 +686,7 @@ def proposition_lists(ctx: PrimeContext | None = None, cap: int = 60) -> dict[in
 # ---------------------------------------------------------------------------
 
 
-def _oracle_check(space: SpaceType, report, k_max: int) -> str:
+def _oracle_check(report, k_max: int) -> str:
     """Cross-check a report's valuation sums against the big-integer oracle."""
     for idx, cond in enumerate(report.per_class):
         if gcd_oracle(report.module, idx, k_max) != cond.valuation_sum:
@@ -758,7 +717,7 @@ def check_type(
         if report.holds_everywhere:
             corroborating.append(f"PsiCondition(window={list(window)})")
         if oracle_k_max:
-            trace.append(_oracle_check(space, report, oracle_k_max))
+            trace.append(_oracle_check(report, oracle_k_max))
         trace.append(f"gcd of low half-degrees is {gcd_res.m}, not a divisor of p-1")
         return Verdict(
             space, VerdictKind.ELIMINATED, reason=f"GcdTest(m={gcd_res.m})",
@@ -793,7 +752,7 @@ def check_type(
     if psi is not None:
         trace.append(f"window {list(psi.window)} certifies the divisibility condition")
         if oracle_k_max:
-            trace.append(_oracle_check(space, psi.report, oracle_k_max))
+            trace.append(_oracle_check(psi.report, oracle_k_max))
         return Verdict(
             space, VerdictKind.ELIMINATED, reason="PsiCondition",
             certificate=psi.as_dict(), trace=trace,
@@ -808,29 +767,14 @@ def check_type(
     return Verdict(space, VerdictKind.SURVIVES, trace=trace + ["no stage eliminates the type"])
 
 
-class ClassificationResult:
-    __slots__ = (
-        "verdicts", "survivors", "quasi_regular", "steenrod_eliminated",
-        "psi_certified", "psi_uncertified", "discrepancies",
-    )
+class ClassificationResult(
+    namedtuple("ClassificationResult", "verdicts survivors quasi_regular steenrod_eliminated "
+               "psi_certified psi_uncertified discrepancies")
+):
+    """The partition: each type's verdict, the types of each bucket, and
+    the diff against the expected lists."""
 
-    def __init__(
-        self,
-        verdicts: dict[tuple[int, ...], Verdict],
-        survivors: list[tuple[int, ...]],
-        quasi_regular: list[tuple[int, ...]],
-        steenrod_eliminated: list[tuple[int, ...]],
-        psi_certified: list[tuple[int, ...]],
-        psi_uncertified: list[tuple[int, ...]],
-        discrepancies: list[str],
-    ):
-        self.verdicts = verdicts
-        self.survivors = survivors
-        self.quasi_regular = quasi_regular
-        self.steenrod_eliminated = steenrod_eliminated
-        self.psi_certified = psi_certified
-        self.psi_uncertified = psi_uncertified
-        self.discrepancies = discrepancies
+    __slots__ = ()
 
 
 def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = 60) -> ClassificationResult:

@@ -52,11 +52,6 @@ from .steenrod import (
 # thm1.1-demo checks every type of rank <= 3 with half-degrees up to this
 _DEMO_TOP = 40
 
-# check-type --oracle's k bound by default and at most: the oracle is exact
-# from max(p, k0) on, and a larger bound repeats the answer at a linear cost
-_ORACLE_K_MAX = 50
-_ORACLE_K_CEILING = 1000
-
 
 class UsageError(Exception):
     """A bad command line: ``main`` prints it as ``Error: ...`` and exits 2."""
@@ -201,17 +196,15 @@ def cmd_adem(p: int, a: int, b: int):
     print(f"P^{a} P^{b} = {format_expansion(expansion, p)}")
 
 
-def cmd_check_type(p: int, window_policy: str, oracle: bool, k_max: int | None,
-                   fmt: str, out: str | None, halves: str):
+def cmd_check_type(p: int, window_policy: str, oracle: bool, fmt: str, out: str | None,
+                   halves: str):
     """Full staged verdict for one comma-separated type, e.g. 4,8,12."""
     space = _parse_type(p, halves)
-    if k_max is not None and not oracle:
-        raise UsageError("--k-max is read only with --oracle")
-    k_max = _ORACLE_K_MAX if k_max is None else k_max
-    if oracle and k_max > _ORACLE_K_CEILING:
-        raise UsageError(f"k-max must be at most {_ORACLE_K_CEILING}")
-    if oracle and k_max < max(space.ctx.p, space.ctx.k0):
-        raise UsageError(f"k-max must be at least max(p, k0) = {max(space.ctx.p, space.ctx.k0)}")
+    # the oracle is exact for every k bound from max(p, k0) on, and costs
+    # linear time in it; 50 keeps the bound recorded at small primes
+    k_max = max(50, space.ctx.p, space.ctx.k0)
+    if oracle and k_max > 1000:
+        raise UsageError(f"--oracle checks k up to max(50, p, k0) = {k_max}, over the limit of 1000")
     verdict = check_type(space, window_policy=window_policy,
                          oracle_k_max=k_max if oracle else None)
     document = _base_document(
@@ -493,8 +486,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="window family of the sieve (default: standard)")
     sub.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
                      help="Cross-check certified windows with the big-integer gcd oracle.")
-    sub.add_argument("--k-max", type=int, help=f"the oracle's k bound, at most "
-                     f"{_ORACLE_K_CEILING} (default: {_ORACLE_K_MAX})")
     report_options(sub)
     sub.add_argument("halves", metavar="HALVES")
 

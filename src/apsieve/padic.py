@@ -8,8 +8,8 @@ Everything in this module is integer-exact.  The central objects are:
   primitive root ``k0`` modulo ``p**2`` (which is then a primitive root
   modulo every power of ``p``).
 - ``val`` / ``digit_sum`` / ``val_factorial``: the valuation of ``n``,
-  the base-``p`` digit sum, and the valuation of ``n!`` computed by two
-  independent closed forms that are checked against each other.
+  the base-``p`` digit sum, and the valuation of ``n!`` by Legendre's
+  floor sum.
 - ``nu``: the exact valuation of ``k0**n - 1`` (zero when ``p - 1`` does
   not divide ``n``), computed arithmetically rather than with big
   integers.
@@ -24,6 +24,7 @@ only in test oracles.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
 __all__ = [
@@ -209,34 +210,19 @@ def primitive_root_mod_p2(p: int) -> int:
         k += 1
 
 
-class PrimeContext:
+class PrimeContext(namedtuple("PrimeContext", "p k0")):
     """An odd prime with its cached primitive root modulo ``p**2``.
 
-    Immutable after construction, so one context serves every type checked
-    at its prime.  Equal primes give equal, equally hashed contexts.
+    Built from ``p`` alone; immutable, so one context serves every type
+    checked at its prime.  Equal primes give equal, equally hashed contexts.
     """
 
-    __slots__ = ("p", "k0")
+    __slots__ = ()
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         if p < 3 or not is_prime(p):
             raise ValueError(f"p must be an odd prime >= 3, got {p}")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k0", primitive_root_mod_p2(p))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PrimeContext is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not PrimeContext:
-            return NotImplemented
-        return self.p == other.p
-
-    def __hash__(self):
-        return hash((self.p, self.k0))
-
-    def __repr__(self) -> str:
-        return f"PrimeContext(p={self.p}, k0={self.k0})"
+        return super().__new__(cls, p, primitive_root_mod_p2(p))
 
 
 def _val_int(p: int, n: int) -> int:

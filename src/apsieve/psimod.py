@@ -59,6 +59,7 @@ __all__ = [
     "monomial_degree_multiplicities",
     "check_dp_work",
     "DP_WORK_LIMIT",
+    "DEGREE_LIMIT",
 ]
 
 DP_WORK_LIMIT = 10_000_000
@@ -69,8 +70,14 @@ monomials ``C(r + p, p) - 1``: such an algebra has ``r <= 82`` (at p = 3,
 ``C(85, 3) - 1 = 98,769``), and ``K <= p``, so its bound is at most
 ``82 * 100,000``."""
 
+DEGREE_LIMIT = 100_000
+"""Most distinct degrees a counted module may hold; the rows, the degree
+tuple and the window sweep all grow with them.  A rank-1 algebra costs only
+``K`` steps but holds ``K`` degrees, so the step bound alone would admit
+one with ten million."""
 
-class SpaceType:
+
+class SpaceType(namedtuple("SpaceType", "ctx halves")):
     """A candidate type: context plus sorted half-degrees ``m_1 <= ... <= m_r``.
 
     Immutable after construction.  Equal contexts and half-degrees give
@@ -80,9 +87,9 @@ class SpaceType:
     by :func:`check_dp_work` when its degrees are first asked for.
     """
 
-    __slots__ = ("ctx", "halves")
+    __slots__ = ()
 
-    def __init__(self, ctx: PrimeContext, halves: tuple[int, ...]):
+    def __new__(cls, ctx: PrimeContext, halves: tuple[int, ...]):
         halves = tuple(int(m) for m in halves)
         if not halves:
             raise ValueError("a type needs at least one half-degree")
@@ -90,22 +97,7 @@ class SpaceType:
             raise ValueError("half-degrees must be >= 2 (simply connected, rank-1 circle excluded)")
         if any(a > b for a, b in zip(halves, halves[1:])):
             raise ValueError("half-degrees must be sorted ascending")
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "halves", halves)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpaceType is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not SpaceType:
-            return NotImplemented
-        return self.halves == other.halves and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash((self.ctx, self.halves))
-
-    def __repr__(self) -> str:
-        return f"SpaceType(ctx={self.ctx!r}, halves={self.halves!r})"
+        return super().__new__(cls, ctx, halves)
 
     @property
     def rank(self) -> int:
@@ -135,7 +127,9 @@ def check_dp_work(space: SpaceType, d_hi: int | None = None) -> int:
     ``l * spread + 1`` (its degrees lie in ``[l * m_1, l * (m_1 + spread)]``,
     where the spread is the largest of those generators minus ``m_1``).
     Summed over the lengths, the steps are at most
-    ``r * min(C(r + K, K) - 1, spread * K * (K + 1) // 2 + K)``."""
+    ``r * min(C(r + K, K) - 1, spread * K * (K + 1) // 2 + K)``.  The
+    distinct degrees, at most ``min(C(r + K, K) - 1, d_hi - m_1 + 1)``, must
+    also stay within :data:`DEGREE_LIMIT`."""
     halves = space.halves
     p = space.ctx.p
     if d_hi is None:
@@ -145,11 +139,18 @@ def check_dp_work(space: SpaceType, d_hi: int | None = None) -> int:
         return 0
     longest = min(p, d_hi // halves[0])
     spread = halves[r - 1] - halves[0]
-    work = r * min(comb(r + longest, longest) - 1, spread * longest * (longest + 1) // 2 + longest)
+    monomials = comb(r + longest, longest) - 1
+    work = r * min(monomials, spread * longest * (longest + 1) // 2 + longest)
     if work > DP_WORK_LIMIT:
         raise ValueError(
             f"counting the degrees of {space} up to {d_hi} at p = {p} takes up to "
             f"{work} steps, over the limit of {DP_WORK_LIMIT}"
+        )
+    degrees = min(monomials, d_hi - halves[0] + 1)
+    if degrees > DEGREE_LIMIT:
+        raise ValueError(
+            f"counting the degrees of {space} up to {d_hi} at p = {p} finds up to "
+            f"{degrees} degrees, over the limit of {DEGREE_LIMIT}"
         )
     return work
 

@@ -16,6 +16,7 @@ from apsieve import (
     wilkerson_filter_1,
     wilkerson_filter_2,
 )
+from apsieve import classifier
 from apsieve.classifier import (
     _ENDGAME_DISPATCH,
     PROP_CASE1,
@@ -55,12 +56,16 @@ def test_failing_results_are_falsy(ctx3):
     assert theorem_1_1_test(SpaceType(ctx3, (2, 4, 6)))
 
 
-def test_verdicts_do_not_share_lists(ctx3):
-    space = SpaceType(ctx3, (2, 4, 6))
-    first, second = Verdict(space, VerdictKind.SURVIVES), Verdict(space, VerdictKind.SURVIVES)
-    first.trace.append("traced")
-    first.corroborating.append("corroborated")
-    assert second.trace == [] and second.corroborating == []
+def test_verdict_defaults_are_empty_and_immutable(ctx3):
+    verdict = Verdict(SpaceType(ctx3, (2, 4, 6)), VerdictKind.SURVIVES)
+    assert (verdict.reason, verdict.certificate, verdict.trace, verdict.corroborating) == (
+        None, None, (), ())
+    with pytest.raises(AttributeError):
+        verdict.trace.append("traced")
+    with pytest.raises(AttributeError):
+        verdict.kind = VerdictKind.ELIMINATED
+    entry = verdict.as_dict()
+    assert entry["trace"] == [] and entry["corroborating"] == []
 
 
 def test_case_split(ctx3):
@@ -180,6 +185,25 @@ def test_endgame_rules_fire_where_their_premises_hold(ctx3):
             fired.setdefault(rule_id, set()).add(halves)
     assert fired == fires
     assert not set().union(*fired.values()) & set(SURVIVORS + QUASI_REGULAR_TYPES)
+
+
+def test_endgame_identities_are_checked_against_normalize(ctx3, monkeypatch):
+    # every rule that equates an Adem identity refuses an expansion other
+    # than the one it states; E2 and E8 state none
+    real = classifier.normalize
+
+    def perturbed(word, p):
+        first, *rest = real(word, p)
+        return [first._replace(coefficient=p - first.coefficient), *rest]
+
+    monkeypatch.setattr(classifier, "normalize", perturbed)
+    for halves in STEENROD_TARGETS:
+        rule_id, rule = _ENDGAME_DISPATCH[halves]
+        if rule_id in ("E2", "E8"):
+            assert rule(SpaceType(ctx3, halves)).rule_id == rule_id
+            continue
+        with pytest.raises(EndgameEncodingError, match="normalises to"):
+            rule(SpaceType(ctx3, halves))
 
 
 def test_endgame_traces_replay(ctx3):

@@ -310,6 +310,13 @@ def test_check_type_refuses_oversized_enumeration(monkeypatch):
     assert time.perf_counter() - start < 1
     assert res.exit_code == 2 and res.output.count("\n") == 1
     assert res.output.startswith("Error: bad type '2,3': counting the degrees of (2,3) up to 3000000021")
+    # a rank-1 type takes only p steps but holds p degrees
+    start = time.perf_counter()
+    res = run("check-type", "--p", "1000003", "2")
+    assert time.perf_counter() - start < 1
+    assert res.exit_code == 2 and res.output.count("\n") == 1
+    assert res.output.endswith("finds up to 1000003 degrees, over the limit of 100000\n")
+    assert run("check-type", "--p", "99991", "2").exit_code == 0
     # p = 31 with the 20 generators 2..21 has ~7.7e13 monomials but costs
     # 189,100 counting steps: refused only under a lower limit
     halves = ",".join(str(m) for m in range(2, 22))
@@ -432,25 +439,20 @@ def test_check_type_oracle_and_policy():
     assert run("check-type", "--p", "3", "2,4,6", "--oracle", "--k-max", "2").exit_code == 2
 
 
-def test_k_max_is_read_only_with_the_oracle_and_bounded():
-    ceiling = cli._ORACLE_K_CEILING
-    for args, message in [
-        (("--k-max", "-5", "4,8,12"), "--k-max is read only with --oracle"),
-        (("--k-max", "7", "2,4,6"), "--k-max is read only with --oracle"),
-        (("--no-oracle", "--k-max", "50", "2,4,6"), "--k-max is read only with --oracle"),
-        (("--oracle", "--k-max", "100000000", "2,4,6"), f"k-max must be at most {ceiling}"),
-        (("--oracle", "--k-max", str(ceiling + 1), "2,4,6"), f"k-max must be at most {ceiling}"),
-        (("--oracle", "--k-max", "2", "2,4,6"), "k-max must be at least max(p, k0) = 3"),
-    ]:
+def test_oracle_bound_is_derived_from_the_prime():
+    # the oracle answers alike for every bound of at least max(p, k0), so
+    # the bound is max(50, p, k0) and is not an option
+    for args in (("--k-max", "7", "2,4,6"), ("--oracle", "--k-max", "50", "2,21,27")):
         res = run("check-type", *args)
-        assert (res.exit_code, res.output) == (2, f"Error: {message}\n"), args
-    # the default is recorded as before, and the ceiling itself is admitted
-    default = run("check-type", "--oracle", "2,21,27")
-    assert json.loads(default.output)["config"]["k_max"] == cli._ORACLE_K_MAX == 50
-    assert run("check-type", "--oracle", "--k-max", "50", "2,21,27") == default
+        assert (res.exit_code, res.output) == (2, "Error: unrecognized arguments: --k-max\n"), args
+    assert json.loads(run("check-type", "--oracle", "2,21,27").output)["config"]["k_max"] == 50
     assert json.loads(run("check-type", "2,21,27").output)["config"]["k_max"] is None
-    res = run("check-type", "--oracle", "--k-max", str(ceiling), "2,4,6")
-    assert res.exit_code == 0 and json.loads(res.output)["config"]["k_max"] == ceiling
+    res = run("check-type", "--p", "53", "--oracle", "2,4,6")
+    assert res.exit_code == 0 and json.loads(res.output)["config"]["k_max"] == 53
+    res = run("check-type", "--p", "1009", "--oracle", "2,4,6")
+    assert (res.exit_code, res.output) == (
+        2, "Error: --oracle checks k up to max(50, p, k0) = 1009, over the limit of 1000\n")
+    assert run("check-type", "--p", "1009", "2,4,6").exit_code == 0
 
 
 def test_bound_command():

@@ -115,6 +115,12 @@ def test_prime_context_is_an_immutable_value():
         assert str(exc.value) == f"p must be an odd prime >= 3, got {p}"
 
 
+def test_prime_context_repr_and_hash_are_those_of_its_fields():
+    ctx = PrimeContext(5)
+    assert repr(ctx) == "PrimeContext(p=5, k0=2)"
+    assert hash(ctx) == hash((5, 2))
+
+
 def test_primitive_root_of_a_large_prime():
     # (p - 1) / 2 = 500,000,003 is prime: only p - 1 is trial-divided, never p * (p - 1)
     assert PrimeContext(1_000_000_007).k0 == 5

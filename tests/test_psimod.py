@@ -54,6 +54,14 @@ def test_space_type_is_an_immutable_value(ctx3):
         cert.witness = 8
 
 
+def test_space_type_repr_and_hash_are_those_of_its_fields(ctx3):
+    # the hash keys the monomial cache, so it stays hash((ctx, halves))
+    space = SpaceType(ctx3, (2, 4, 6))
+    assert repr(space) == "SpaceType(ctx=PrimeContext(p=3, k0=2), halves=(2, 4, 6))"
+    assert hash(space) == hash((ctx3, (2, 4, 6))) == hash(((3, 2), (2, 4, 6)))
+    assert str(space) == "(2,4,6)" and (space.rank, space.p) == (3, 3)
+
+
 def test_enumerate_classes_239(ctx3):
     module = enumerate_classes(SpaceType(ctx3, (2, 3, 9)), (1, 27))
     assert len(module.degrees) == 17
