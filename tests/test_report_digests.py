@@ -28,6 +28,8 @@ COMMANDS = [
     ("reproduce", "--cap", "44", "thm1.2"),
     ("reproduce", "thm1.1-demo"),
     ("reproduce", "--p", "5", "thm1.1-demo"),
+    ("reproduce", "--p", "7", "thm1.1-demo"),
+    ("reproduce", "--p", "11", "thm1.1-demo"),
     ("reproduce", "lemma3.4"),
     ("reproduce", "adem"),
     ("reproduce", "bound"),
