@@ -33,11 +33,14 @@ from .classifier import (
 from .finiteness import rank_bound
 from .padic import PrimeContext, digit_sum, nu, val, val_factorial
 from .psimod import (
+    PsiModule,
     SpaceType,
     check_dp_work,
     condition_report,
-    enumerate_classes,
+    empty_word_rows,
+    extend_rows,
     main_lemma_sums,
+    row_degrees,
 )
 from .steenrod import (
     PowerWord,
@@ -265,17 +268,44 @@ def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int) -> None:
     }
 
 
+def _gcd_failing_low_parts(p: int, top: int):
+    """Yield each low part up to rank 3 of thm1.1-demo's types at ``p``, with
+    the degrees of its bottom window ``[m_1, p*m_1]``.
+
+    A low part is ``m_1`` and the further half-degrees ``<= min(p*m_1, top)``
+    of a type whose gcd test fails.  A prefix's gcd only shrinks as the
+    prefix grows, so once it divides p - 1 no extension fails the test: the
+    walk extends only failing prefixes.  It adds half-degrees in ascending
+    order, as the degree count does, so each low part's rows are its
+    parent's extended by one generator; a pending low part keeps its
+    parent's rows, which are never modified, so only one chain of rows is
+    held at a time."""
+    for m1 in range(2, top + 1):
+        if (p - 1) % m1 == 0:
+            continue
+        d_hi = p * m1
+        cut = min(d_hi, top)
+        lows = [((m1,), m1, empty_word_rows(p))]
+        while lows:
+            low, g, rows = lows.pop()
+            rows = extend_rows(rows, low[-1], d_hi)
+            yield low, row_degrees(rows, m1)
+            if len(low) < 3:
+                for x in range(low[-1], cut + 1):
+                    h = gcd(g, x)
+                    if (p - 1) % h:
+                        lows.append((low + (x,), h, rows))
+
+
 def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
     p = ctx.p
     # The bottom window [m_1, p*m_1] holds only monomials in the generators
     # <= p*m_1, so a type and its low part (those generators) have the same
     # window module, and m_1 is its witness; each gcd-failing low part is
-    # decided once.  A prefix's gcd only shrinks as the prefix grows, so once
-    # it divides p - 1 no extension fails the test: the walk extends only
-    # failing prefixes.  A low part stands for itself and every non-decreasing
+    # decided once.  A low part stands for itself and every non-decreasing
     # tail from (p*m_1, top] up to rank 3, and its types are listed only when
     # it is uncertified.  The report's sums read only ctx and the class
-    # degrees, so each distinct degree tuple is evaluated once.
+    # degrees, so a module is built and evaluated once per degree tuple.
     top = _DEMO_TOP
     # m_1 >= 3, since 2 divides p - 1, so every window built below has at
     # most 3 generators, words of length <= p and a spread <= top - 3: it
@@ -287,32 +317,23 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
     holds: dict[tuple[int, ...], bool] = {}
     uncertified = []
     checked = 0
-    for m1 in range(2, top + 1):
-        if (p - 1) % m1 == 0:
-            continue
+    for low, degrees in _gcd_failing_low_parts(p, top):
+        m1 = low[0]
         cut = min(p * m1, top)
-        lows = [((m1,), m1)]
-        for low, g in lows:  # failing extensions join the list as it is walked
-            spare = 3 - len(low)
-            # sum over j <= spare of C(n + j - 1, j), the tails of length j
-            # from the n = top - cut values above the cut
-            checked += comb(top - cut + spare, spare)
-            module = enumerate_classes(SpaceType(ctx, low), (m1, p * m1))
-            degrees = module.degrees
-            if degrees not in holds:
-                holds[degrees] = condition_report(module).holds_everywhere
-            # m1 and p*m1 bound the window, so m1 is always a witness
-            if not holds[degrees]:
-                for j in range(spare + 1):
-                    uncertified.extend(
-                        low + tail
-                        for tail in combinations_with_replacement(range(cut + 1, top + 1), j)
-                    )
-            if spare:
-                for x in range(low[-1], cut + 1):
-                    h = gcd(g, x)
-                    if (p - 1) % h:
-                        lows.append((low + (x,), h))
+        spare = 3 - len(low)
+        # sum over j <= spare of C(n + j - 1, j), the tails of length j
+        # from the n = top - cut values above the cut
+        checked += comb(top - cut + spare, spare)
+        if degrees not in holds:
+            # m1 and p*m1 bound the window, so m1 is its only witness
+            module = PsiModule(SpaceType(ctx, low), (m1, p * m1), degrees, (m1,))
+            holds[degrees] = condition_report(module).holds_everywhere
+        if not holds[degrees]:
+            for j in range(spare + 1):
+                uncertified.extend(
+                    low + tail
+                    for tail in combinations_with_replacement(range(cut + 1, top + 1), j)
+                )
     uncertified.sort(key=lambda halves: (len(halves), halves))
     document["summary"] = {
         "gcd_failing_types_checked": checked,

@@ -224,6 +224,10 @@ class PrimeContext(namedtuple("PrimeContext", "p k0")):
             raise ValueError(f"p must be an odd prime >= 3, got {p}")
         return super().__new__(cls, p, primitive_root_mod_p2(p))
 
+    def __getnewargs__(self):
+        # copy and pickle rebuild a context from p alone, as __new__ takes it
+        return (self.p,)
+
 
 def _val_int(p: int, n: int) -> int:
     """Largest f with p**f dividing n, for n != 0 (sign ignored)."""

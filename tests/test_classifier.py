@@ -1,8 +1,11 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
 
 from apsieve import (
+    PrimeContext,
     SpaceType,
     case_split,
     check_type,
@@ -66,6 +69,17 @@ def test_verdict_defaults_are_empty_and_immutable(ctx3):
         verdict.kind = VerdictKind.ELIMINATED
     entry = verdict.as_dict()
     assert entry["trace"] == [] and entry["corroborating"] == []
+
+
+def test_values_survive_copy_deepcopy_and_pickle():
+    # a context is rebuilt from p alone, and every value holding one with it
+    space = SpaceType(PrimeContext(5), (2, 50, 54))
+    verdict = check_type(space)
+    assert verdict.certificate is not None
+    for value in (PrimeContext(3), space, verdict):
+        for twin in (copy.copy(value), copy.deepcopy(value),
+                     pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value
 
 
 def test_case_split(ctx3):

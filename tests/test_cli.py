@@ -234,17 +234,44 @@ def test_thm11_demo_lists_the_types_of_uncertified_low_parts(p, failing, monkeyp
     assert tailed == {2, 3}
 
 
-def test_thm11_demo_builds_one_module_per_low_part(monkeypatch):
-    # 3,584 gcd-failing types share 701 low parts and 247 degree tuples
-    calls = {"enumerate_classes": 0, "condition_report": 0}
-    for name in calls:
-        def counted(*args, _real=getattr(cli, name), _name=name):
+def test_thm11_demo_builds_one_module_per_degree_tuple(monkeypatch):
+    # 3,584 gcd-failing types share 701 low parts and 247 degree tuples: one
+    # row step per low part, and a module and a report per degree tuple,
+    # with no degree count from scratch
+    calls = {"extend_rows": 0, "PsiModule": 0, "condition_report": 0, "_monomial_degrees": 0}
+    modules = []
+    for module, name in ((cli, "extend_rows"), (cli, "PsiModule"), (cli, "condition_report"),
+                         (psimod, "_monomial_degrees")):
+        def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(cli, name, counted)
+            result = _real(*args)
+            if _name == "PsiModule":
+                modules.append(result)
+            return result
+        monkeypatch.setattr(module, name, counted)
     res = run("reproduce", "thm1.1-demo")
     assert res.exit_code == 0
-    assert calls == {"enumerate_classes": 701, "condition_report": 247}
+    assert calls == {"extend_rows": 701, "PsiModule": 247, "condition_report": 247,
+                     "_monomial_degrees": 0}
+    monkeypatch.undo()
+    # each module is the one enumerate_classes builds: window, witnesses and all
+    assert all(m == enumerate_classes(m.space, m.window) for m in modules)
+    assert len({m.degrees for m in modules}) == 247
+
+
+@pytest.mark.parametrize("p, low_parts", [(3, 701), (5, 730), (7, 549)])
+def test_thm11_demo_carried_rows_match_a_count_from_scratch(p, low_parts):
+    # each low part's degrees come from its parent's rows and one more
+    # generator; a count from nothing must agree on every low part walked,
+    # those whose generators repeat among them
+    ctx = PrimeContext(p)
+    walked = list(cli._gcd_failing_low_parts(p, 40))
+    degrees = dict(walked)
+    assert len(walked) == len(degrees) == low_parts
+    if p == 3:
+        assert {(5, 5), (5, 5, 10), (3, 3, 3)} <= degrees.keys()
+    for low, got in walked:
+        assert got == enumerate_classes(SpaceType(ctx, low), (low[0], p * low[0])).degrees, low
 
 
 def test_thm11_demo_runs_at_p_83():

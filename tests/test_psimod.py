@@ -18,7 +18,15 @@ from apsieve import (
 )
 from apsieve import psimod
 from apsieve.padic import NU_TABLE_LIMIT, _nu_int, nu
-from apsieve.psimod import DP_WORK_LIMIT, check_dp_work, low_degree_gcd, monomial_degree_multiplicities
+from apsieve.psimod import (
+    DP_WORK_LIMIT,
+    check_dp_work,
+    empty_word_rows,
+    extend_rows,
+    low_degree_gcd,
+    monomial_degree_multiplicities,
+    row_degrees,
+)
 
 from reference import pair_min_int, walk_monomial_degrees
 
@@ -541,6 +549,21 @@ def test_bottom_window_reads_only_the_low_part(p, counts):
             assert module.degrees == low_degrees[low], halves
             assert halves[0] in module.witnesses, halves
     assert (types, len(low_degrees), len(set(low_degrees.values()))) == counts
+
+
+def test_extend_rows_leaves_the_rows_it_extends_alone():
+    # one parent's rows serve every extension of it: (3, 4) and (3, 5) at
+    # p = 3 on [3, 9], where 8 = 4 + 4 repeats a generator; a second
+    # generator of degree 4 adds no degree
+    parent = extend_rows(empty_word_rows(3), 3, 9)
+    before = [set(row) for row in parent]
+    four = extend_rows(parent, 4, 9)
+    five = extend_rows(parent, 5, 9)
+    assert [set(row) for row in parent] == before == [{0}, {3}, {6}, {9}]
+    assert row_degrees(four, 3) == (3, 4, 6, 7, 8, 9)
+    assert row_degrees(five, 3) == (3, 5, 6, 8, 9)
+    assert row_degrees(extend_rows(four, 4, 9), 3) == row_degrees(four, 3)
+    assert row_degrees(four, 7) == (7, 8, 9)
 
 
 def test_monomial_degree_multiplicities_match_reference():
