@@ -33,10 +33,9 @@ from .classifier import (
 from .finiteness import rank_bound
 from .padic import PrimeContext, digit_sum, nu, val, val_factorial
 from .psimod import (
-    PsiModule,
     SpaceType,
     check_dp_work,
-    condition_report,
+    class_sums,
     empty_word_rows,
     extend_rows,
     main_lemma_sums,
@@ -304,8 +303,8 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
     # window module, and m_1 is its witness; each gcd-failing low part is
     # decided once.  A low part stands for itself and every non-decreasing
     # tail from (p*m_1, top] up to rank 3, and its types are listed only when
-    # it is uncertified.  The report's sums read only ctx and the class
-    # degrees, so a module is built and evaluated once per degree tuple.
+    # it is uncertified.  The class sums read only ctx and the class degrees,
+    # so each degree tuple is decided once.
     top = _DEMO_TOP
     # m_1 >= 3, since 2 divides p - 1, so every window built below has at
     # most 3 generators, words of length <= p and a spread <= top - 3: it
@@ -318,16 +317,14 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
     uncertified = []
     checked = 0
     for low, degrees in _gcd_failing_low_parts(p, top):
-        m1 = low[0]
-        cut = min(p * m1, top)
+        cut = min(p * low[0], top)
         spare = 3 - len(low)
         # sum over j <= spare of C(n + j - 1, j), the tails of length j
         # from the n = top - cut values above the cut
         checked += comb(top - cut + spare, spare)
         if degrees not in holds:
-            # m1 and p*m1 bound the window, so m1 is its only witness
-            module = PsiModule(SpaceType(ctx, low), (m1, p * m1), degrees, (m1,))
-            holds[degrees] = condition_report(module).holds_everywhere
+            valuation_sums = class_sums(ctx, degrees)[0]
+            holds[degrees] = all(t > v for t, v in zip(degrees, valuation_sums))
         if not holds[degrees]:
             for j in range(spare + 1):
                 uncertified.extend(

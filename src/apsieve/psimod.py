@@ -28,8 +28,9 @@ The window search (:func:`eliminate_by_psi`) scores its windows with one
 forward sweep over the runs of the full module's classes, reading ``nu``
 from one per-prime table (:func:`apsieve.padic.nu_table`).  The report that
 certifies a window (:func:`condition_report`) re-checks it by another
-route: it counts, per level ``(p - 1) * p**f``, the classes in each residue
-class, and corrects the few pairs whose smaller degree caps ``nu``.
+route, the list kernel :func:`class_sums`: it counts, per level ``(p - 1) *
+p**f``, the classes in each residue class, and corrects the few pairs whose
+smaller degree caps ``nu``.  thm1.1-demo decides from that kernel alone.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "PsiCertificate",
     "GcdTestResult",
     "enumerate_classes",
+    "class_sums",
     "condition_report",
     "eliminate_by_psi",
     "gcd_oracle",
@@ -286,64 +288,64 @@ class ConditionReport(
         }
 
 
-def condition_report(module: PsiModule) -> ConditionReport:
-    """Evaluate the divisibility condition on every class of ``module``.
+def class_sums(ctx: PrimeContext, degrees) -> tuple[list[int], list[int]]:
+    """The sums of each class of the sorted distinct ``degrees`` (at least
+    one), as two lists in their order: ``valuation_sums[i]`` adds
+    ``pair_min(t_i, t_j) = min(nu(|t_i - t_j|), min(t_i, t_j))`` over the
+    other classes, and ``nu_bounds[i]`` adds ``nu(|t_i - t_j|)``.
 
-    The sums are counted by level rather than by pair.  ``nu(d)`` is the
-    number of moduli ``(p - 1) * p**f`` dividing ``d``, so ``nu_bound`` of a
-    class ``t_i``, the sum of ``nu(|t_i - t_j|)`` over the other classes, is
-    the sum over levels of (the number of classes congruent to ``t_i`` mod
-    that level's modulus) - 1.  Only the ``L`` levels whose modulus is at
-    most the module's span can hold two classes.  ``valuation_sum`` adds
-    ``pair_min(t_i, t_j) = min(nu(|t_i - t_j|), min(t_i, t_j))`` instead,
-    and since ``nu <= L`` on every pair the two sums differ only on pairs
-    whose smaller degree is below ``L``; those pairs are corrected one by
-    one.  The report reads nothing but the module's degrees, in any order,
-    so it re-checks a window by a route independent of the search's run
-    sweep.
+    They are counted by level, not by pair.  ``nu(d)`` is the number of
+    moduli ``(p - 1) * p**f`` dividing ``d``, so ``nu_bounds[i]`` sums, over
+    the ``L`` levels whose modulus is at most the span of the degrees, the
+    classes congruent to ``t_i`` mod that modulus, less one.  As ``nu <= L``,
+    the two sums differ only on pairs whose smaller degree is below ``L``, a
+    prefix of the degrees; those pairs are corrected one by one."""
+    span = degrees[-1] - degrees[0]
+    nu_bounds = [0] * len(degrees)
+    modulus, levels = ctx.p - 1, 0
+    while modulus <= span:
+        # each count starts at -1, so a class does not count itself
+        counts: dict[int, int] = {}
+        for t in degrees:
+            r = t % modulus
+            counts[r] = counts.get(r, -1) + 1
+        for i, t in enumerate(degrees):
+            nu_bounds[i] += counts[t % modulus]
+        modulus *= ctx.p
+        levels += 1
+    valuation_sums = nu_bounds[:]
+    if degrees[0] < levels:
+        nu = nu_table(ctx, span)
+        for i, s in enumerate(degrees):
+            if s >= levels:
+                break
+            # s is the smaller degree of each pair it forms with a later class
+            for j in range(i + 1, len(degrees)):
+                if (excess := nu[degrees[j] - s] - s) > 0:
+                    valuation_sums[i] -= excess
+                    valuation_sums[j] -= excess
+    return valuation_sums, nu_bounds
+
+
+def condition_report(module: PsiModule) -> ConditionReport:
+    """Evaluate the divisibility condition on every class of ``module``, by
+    the :func:`class_sums` of its sorted degrees; the records keep the
+    module's order, whatever it is.  The report reads nothing but the
+    module's degrees, so it re-checks a window by a route independent of the
+    search's run sweep.
     """
     degrees = module.degrees
     if len(degrees) < 2:
         raise ValueError("condition_report needs at least 2 classes")
     if len(set(degrees)) != len(degrees):
         raise ValueError("class degrees must be pre-merged (duplicates found)")
-    lowest = min(degrees)
-    span = max(degrees) - lowest
-    p = module.space.p
-    nu_bound = dict.fromkeys(degrees, 0)
-    modulus, levels = p - 1, 0
-    while modulus <= span:
-        residues = [t % modulus for t in degrees]
-        counts: dict[int, int] = {}
-        for r in residues:
-            counts[r] = counts.get(r, 0) + 1
-        for t, r in zip(degrees, residues):
-            nu_bound[t] += counts[r] - 1
-        modulus *= p
-        levels += 1
-    valuation_sum = dict(nu_bound)
-    if lowest < levels:
-        nu = nu_table(module.space.ctx, span)
-        for s in degrees:
-            if s >= levels:
-                continue
-            # s is the smaller degree of each pair it forms with a larger class
-            for t in degrees:
-                if t > s and (excess := nu[t - s] - s) > 0:
-                    valuation_sum[s] -= excess
-                    valuation_sum[t] -= excess
-    conditions = tuple(
-        ClassCondition(degree=t, valuation_sum=valuation_sum[t], nu_bound=nu_bound[t],
-                       passes=valuation_sum[t] < t)
-        for t in degrees
-    )
-    witness = module.witnesses[0] if module.witnesses else None
-    return ConditionReport(
-        module=module,
-        per_class=conditions,
-        holds_everywhere=all(c.passes for c in conditions),
-        witness_used=witness,
-    )
+    ordered = sorted(degrees)
+    by_degree = {t: ClassCondition(degree=t, valuation_sum=v, nu_bound=b, passes=v < t)
+                 for t, v, b in zip(ordered, *class_sums(module.space.ctx, ordered))}
+    conditions = tuple(by_degree[t] for t in degrees)
+    return ConditionReport(module=module, per_class=conditions,
+                           holds_everywhere=all(c.passes for c in conditions),
+                           witness_used=module.witnesses[0] if module.witnesses else None)
 
 
 class PsiCertificate(namedtuple("PsiCertificate", "window report witness windows_tried")):

@@ -216,10 +216,12 @@ def test_thm11_demo_lists_the_types_of_uncertified_low_parts(p, failing, monkeyp
     def holds(module):
         return 9 not in module.degrees and _holds_everywhere(module)
 
-    def failing_report(module):
-        return condition_report(module)._replace(holds_everywhere=holds(module))
+    def failing_sums(ctx, degrees):
+        valuation_sums, nu_bounds = psimod.class_sums(ctx, degrees)
+        # class 9's sum reaches its degree
+        return [9 if t == 9 else v for t, v in zip(degrees, valuation_sums)], nu_bounds
 
-    monkeypatch.setattr(cli, "condition_report", failing_report)
+    monkeypatch.setattr(cli, "class_sums", failing_sums)
     res = run("reproduce", "--p", str(p), "thm1.1-demo")
     assert res.exit_code == 1, res.output
     doc = json.loads(res.output)
@@ -234,29 +236,55 @@ def test_thm11_demo_lists_the_types_of_uncertified_low_parts(p, failing, monkeyp
     assert tailed == {2, 3}
 
 
-def test_thm11_demo_builds_one_module_per_degree_tuple(monkeypatch):
+def test_thm11_demo_decides_each_degree_tuple_once(monkeypatch):
     # 3,584 gcd-failing types share 701 low parts and 247 degree tuples: one
-    # row step per low part, and a module and a report per degree tuple,
-    # with no degree count from scratch
-    calls = {"extend_rows": 0, "PsiModule": 0, "condition_report": 0, "_monomial_degrees": 0}
-    modules = []
-    for module, name in ((cli, "extend_rows"), (cli, "PsiModule"), (cli, "condition_report"),
-                         (psimod, "_monomial_degrees")):
+    # row step per low part and one kernel call per degree tuple, with no
+    # module, no report and no degree count from scratch
+    calls = {"extend_rows": 0, "class_sums": 0, "PsiModule": 0, "condition_report": 0,
+             "_monomial_degrees": 0}
+    decided = []
+    for module, name in ((cli, "extend_rows"), (cli, "class_sums"), (psimod, "PsiModule"),
+                         (psimod, "condition_report"), (psimod, "_monomial_degrees")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
-            result = _real(*args)
-            if _name == "PsiModule":
-                modules.append(result)
-            return result
+            if _name == "class_sums":
+                decided.append(args[1])
+            return _real(*args)
         monkeypatch.setattr(module, name, counted)
     res = run("reproduce", "thm1.1-demo")
     assert res.exit_code == 0
-    assert calls == {"extend_rows": 701, "PsiModule": 247, "condition_report": 247,
-                     "_monomial_degrees": 0}
+    assert calls == {"extend_rows": 701, "class_sums": 247, "PsiModule": 0,
+                     "condition_report": 0, "_monomial_degrees": 0}
     monkeypatch.undo()
-    # each module is the one enumerate_classes builds: window, witnesses and all
-    assert all(m == enumerate_classes(m.space, m.window) for m in modules)
-    assert len({m.degrees for m in modules}) == 247
+    # each call gets a distinct tuple of sorted distinct degrees
+    assert len(set(decided)) == 247
+    assert all(isinstance(d, tuple) and list(d) == sorted(set(d)) for d in decided)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_thm11_demo_decides_as_the_condition_report(p, monkeypatch):
+    # on the bottom window of every low part the demo walks, the kernel's
+    # sums are the report's and the demo's decision, read off its listing
+    # (a low part stands for itself), is the report's holds_everywhere
+    ctx = PrimeContext(p)
+    sums = {}
+
+    def recording(ctx, degrees):
+        sums[degrees] = psimod.class_sums(ctx, degrees)
+        return sums[degrees]
+
+    monkeypatch.setattr(cli, "class_sums", recording)
+    res = run("reproduce", "--p", str(p), "thm1.1-demo")
+    monkeypatch.undo()
+    uncertified = json.loads(res.output)["summary"]["uncertified"]
+    walked = list(cli._gcd_failing_low_parts(p, 40))
+    assert {degrees for _, degrees in walked} == sums.keys()
+    for low, degrees in walked:
+        report = condition_report(enumerate_classes(SpaceType(ctx, low), (low[0], p * low[0])))
+        assert (list(low) not in uncertified) == report.holds_everywhere, low
+        assert sums[degrees] == (
+            [c.valuation_sum for c in report.per_class], [c.nu_bound for c in report.per_class]
+        ), low
 
 
 @pytest.mark.parametrize("p, low_parts", [(3, 701), (5, 730), (7, 549)])

@@ -21,6 +21,7 @@ from apsieve.padic import NU_TABLE_LIMIT, _nu_int, nu
 from apsieve.psimod import (
     DP_WORK_LIMIT,
     check_dp_work,
+    class_sums,
     empty_word_rows,
     extend_rows,
     low_degree_gcd,
@@ -599,6 +600,33 @@ def test_condition_report_any_class_order(ctx5):
         rng.shuffle(degrees)
         shuffled = module._replace(degrees=tuple(degrees))
         assert condition_report(shuffled).as_dict() == _reference_report(shuffled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7, 11]),
+    # a few degrees below 7 put the lowest class under the level count (up
+    # to 5 levels at p = 3 over a span of 400) where it is often corrected
+    degrees=st.tuples(
+        st.sets(st.integers(min_value=1, max_value=6), max_size=3),
+        st.sets(st.integers(min_value=1, max_value=400), min_size=1, max_size=40),
+    ).map(lambda parts: sorted(parts[0] | parts[1])),
+)
+@example(p=3, degrees=[2, 20, 56])  # nu(18) = 3 and nu(54) = 4 exceed 2
+@example(p=11, degrees=[1, 111, 221])  # nu(110) = 2 exceeds 1
+@example(p=5, degrees=[7])
+def test_class_sums_are_the_pairwise_sums(p, degrees):
+    # the kernel's level counts and corrections give the sums over pairs
+    ctx = PrimeContext(p)
+
+    def nu_int(d):
+        return nu(ctx, d).value
+
+    valuation_sums = [
+        sum(min(nu_int(t - s), min(t, s)) for s in degrees if s != t) for t in degrees
+    ]
+    nu_bounds = [sum(nu_int(t - s) for s in degrees if s != t) for t in degrees]
+    assert class_sums(ctx, degrees) == (valuation_sums, nu_bounds)
 
 
 def test_window_search_internal_error_guard(ctx3, monkeypatch):
