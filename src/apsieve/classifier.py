@@ -152,7 +152,7 @@ def wilkerson_filter_1(space: SpaceType) -> FilterResult:
     m_r = space.halves[-1]
     if m_r <= p:
         return FilterResult(True, f"vacuous: top degree {m_r} <= p", 1)
-    bound = val(space.ctx, m_r).value + 1
+    bound = val(space.ctx, m_r) + 1
     for s in range(1, bound + 1):
         target = m_r - s * (p - 1)
         if target in space.halves:  # target < m_r, so this is a lower degree
@@ -207,7 +207,7 @@ def case_split(space: SpaceType) -> CaseTag | None:
     if space.rank != 3 or len(set(space.halves)) != 3:
         raise ValueError("the case split needs a strictly increasing rank-3 type")
     r, n, m = space.halves
-    bound = val(space.ctx, m).value + 1
+    bound = val(space.ctx, m) + 1
     diff_n = m - n
     s = diff_n // 2 if diff_n % 2 == 0 else None
     if s is not None and 1 <= s <= bound:
@@ -262,7 +262,7 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
     log_mr = _ilog(3, m - r)
 
     if subcase == 1:
-        holds = 8 * en.value + 23 >= n
+        holds = 8 * en + 23 >= n
         detail = f"8*{en} + 23 >= {n}: {holds}"
     elif subcase == 2:
         emax = max(val(ctx, 3 * n - m), val(ctx, 3 * n - 2 * m))
@@ -270,10 +270,10 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
             holds = True
             detail = "3n-2m = 0 branch: trivially satisfied"
         else:
-            holds = 8 * emax.value + 15 >= n
+            holds = 8 * emax + 15 >= n
             detail = f"8*{emax} + 15 >= {n}: {holds}"
     elif subcase == 3:
-        first = 7 * en.value + log_mr + 24 >= m
+        first = 7 * en + log_mr + 24 >= m
         second = 8 * log_mr + 24 >= 3 * r
         holds = first or second
         detail = f"7*{en}+{log_mr}+24 >= {m}: {first}; 8*{log_mr}+24 >= {3*r}: {second}"
@@ -282,7 +282,7 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
         if emax.is_infinite:
             first = True
         else:
-            first = 7 * emax.value + log_mr + 17 >= m
+            first = 7 * emax + log_mr + 17 >= m
         second = 8 * log_mr + 24 >= 3 * r
         holds = first or second
         detail = f"7*max(e)+{log_mr}+17 >= {m}: {first}; 8*{log_mr}+24 >= {3*r}: {second}"
@@ -560,8 +560,8 @@ def endgame_rules(space: SpaceType) -> EndgameElimination | None:
 def _case1_filter(space: SpaceType) -> tuple[bool, str]:
     ctx = space.ctx
     r, n, m = space.halves
-    en = val(ctx, n).value
-    em = val(ctx, m).value
+    en = val(ctx, n)
+    em = val(ctx, m)
     if en >= em:
         # equal-or-higher valuation below forces s = 1, impossible with 3|n, 3|m
         return False, "case1: e(n) >= e(m) forces m - n = 2, impossible mod 3"

@@ -2,8 +2,11 @@
 
 Everything in this module is integer-exact.  The central objects are:
 
-- ``Valuation``: a non-negative integer valuation with an explicit
-  infinite sentinel for the valuation of zero.
+- ``Valuation``: an ``int`` subclass for a finite valuation, which adds
+  only a non-negativity check, ``is_infinite`` and ``value``; and
+  ``INFINITE``, the valuation of zero, a ``float("inf")`` that compares
+  above every finite value, absorbs addition and prints as ``inf``.  No
+  table or report holds it.
 - ``PrimeContext``: an odd prime ``p`` together with the smallest
   primitive root ``k0`` modulo ``p**2`` (which is then a primitive root
   modulo every power of ``p``).
@@ -49,7 +52,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test (exact for n < 3.3e24)."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -88,102 +91,40 @@ def prime_factors(n: int) -> list[int]:
     return out
 
 
-class Valuation:
-    """A p-adic valuation: a non-negative integer or the infinite sentinel.
+class Valuation(int):
+    """A finite p-adic valuation: a non-negative ``int``.
 
-    The infinite value (valuation of zero) compares greater than every
-    finite value, absorbs addition, and yields the other operand under
-    ``min``.  Instances are immutable and hashable.
+    Python's own integers do the ordering, hashing and arithmetic; a sum
+    of valuations is a plain ``int``.  The valuation of zero is
+    :data:`INFINITE`.
     """
 
-    __slots__ = ("_v",)
+    __slots__ = ()
+    is_infinite = False
 
-    def __init__(self, value: int | None):
-        if value is not None:
-            if value < 0:
-                raise ValueError("finite valuations are non-negative")
-            value = int(value)
-        object.__setattr__(self, "_v", value)
-
-    def __setattr__(self, name, value):  # pragma: no cover - immutability guard
-        raise AttributeError("Valuation is immutable")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self._v is None
+    def __new__(cls, value: int):
+        if value < 0:
+            raise ValueError("finite valuations are non-negative")
+        return super().__new__(cls, value)
 
     @property
     def value(self) -> int:
-        """The finite value; raises on the infinite sentinel."""
-        if self._v is None:
-            raise ValueError("infinite valuation has no finite value")
-        return self._v
-
-    # -- ordering (total, with ints accepted on either side) ----------
-    @staticmethod
-    def _key(other) -> int | None:
-        if isinstance(other, Valuation):
-            return other._v
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __eq__(self, other):
-        k = Valuation._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        return self._v == k
-
-    def __lt__(self, other):
-        k = Valuation._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        if self._v is None:
-            return False
-        if k is None:
-            return True
-        return self._v < k
-
-    def __le__(self, other):
-        eq = self.__eq__(other)
-        lt = self.__lt__(other)
-        if eq is NotImplemented or lt is NotImplemented:
-            return NotImplemented
-        return eq or lt
-
-    def __gt__(self, other):
-        le = self.__le__(other)
-        return NotImplemented if le is NotImplemented else not le
-
-    def __ge__(self, other):
-        lt = self.__lt__(other)
-        return NotImplemented if lt is NotImplemented else not lt
-
-    def __hash__(self):
-        return hash(("Valuation", self._v))
-
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other):
-        k = Valuation._key(other)
-        if k is NotImplemented:
-            return NotImplemented
-        if self._v is None or k is None:
-            return INFINITE
-        return Valuation(self._v + k)
-
-    __radd__ = __add__
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return "Valuation(inf)" if self._v is None else f"Valuation({self._v})"
-
-    def __str__(self) -> str:
-        return "inf" if self._v is None else str(self._v)
+        """The valuation as a plain ``int``."""
+        return int(self)
 
 
-INFINITE = Valuation(None)
+class _Infinite(float):
+    """The valuation of zero: ``float("inf")``, above every finite value."""
+
+    __slots__ = ()
+    is_infinite = True
+
+    @property
+    def value(self):
+        raise ValueError("infinite valuation has no finite value")
+
+
+INFINITE = _Infinite("inf")
 
 
 @lru_cache(maxsize=None)
@@ -239,11 +180,9 @@ def _val_int(p: int, n: int) -> int:
     return f
 
 
-def val(ctx: PrimeContext, n: int) -> Valuation:
-    """p-adic valuation of ``n``; the infinite sentinel for ``n == 0``."""
-    if n == 0:
-        return INFINITE
-    return Valuation(_val_int(ctx.p, n))
+def val(ctx: PrimeContext, n: int) -> Valuation | float:
+    """p-adic valuation of ``n``; :data:`INFINITE` for ``n == 0``."""
+    return INFINITE if n == 0 else Valuation(_val_int(ctx.p, n))
 
 
 def digit_sum(ctx: PrimeContext, n: int) -> int:
@@ -270,26 +209,21 @@ def val_factorial(ctx: PrimeContext, n: int) -> int:
     return total
 
 
-def nu(ctx: PrimeContext, n: int) -> Valuation:
-    """Exact valuation of ``k0**n - 1``.
-
-    Returns 0 when ``p - 1`` does not divide ``n``, ``val(n) + 1`` when it
-    does, and the infinite sentinel for ``n == 0``.  Sign is ignored.
-    """
-    if n == 0:
-        return INFINITE
-    n = abs(n)
-    if n % (ctx.p - 1) != 0:
-        return Valuation(0)
-    return Valuation(_val_int(ctx.p, n) + 1)
-
-
 def _nu_int(ctx: PrimeContext, n: int) -> int:
     # fast path for hot loops; n != 0
     n = abs(n)
     if n % (ctx.p - 1) != 0:
         return 0
     return _val_int(ctx.p, n) + 1
+
+
+def nu(ctx: PrimeContext, n: int) -> Valuation | float:
+    """Exact valuation of ``k0**n - 1``.
+
+    Returns 0 when ``p - 1`` does not divide ``n``, ``val(n) + 1`` when it
+    does, and :data:`INFINITE` for ``n == 0``.  Sign is ignored.
+    """
+    return INFINITE if n == 0 else Valuation(_nu_int(ctx, n))
 
 
 NU_TABLE_LIMIT = 1 << 16

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations_with_replacement, product as _cartesian
+from math import comb
 
 from .psimod import SpaceType, monomial_degree_multiplicities
 
@@ -50,17 +51,8 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     if b < 0 or b > a:
         return 0
     result = 1
-    while b:
-        da, db = a % p, b % p
-        if db > da:
-            return 0
-        # digits are < p, so a tiny iterative binomial suffices
-        num = 1
-        den = 1
-        for i in range(db):
-            num = num * (da - i) % p
-            den = den * (i + 1) % p
-        result = result * num * pow(den, p - 2, p) % p
+    while b and result:
+        result = result * comb(a % p, b % p) % p
         a //= p
         b //= p
     return result

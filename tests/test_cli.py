@@ -36,6 +36,7 @@ def test_valuation_commands():
     assert run("valfact", "--p", "3", "9").output.strip() == "4"
     assert run("digitsum", "--p", "3", "17").output.strip() == "5"
     assert run("val", "--p", "3", "0").output.strip() == "inf"
+    assert run("nu", "--p", "3", "0").output.strip() == "inf"
 
 
 def test_usage_errors_exit_2():

@@ -38,6 +38,14 @@ def test_valuation_sentinel_algebra():
         Valuation(-1)
 
 
+def test_valuations_hash_and_sort_as_numbers(ctx3):
+    # a valuation equal to an int is interchangeable with it as a key
+    assert 2 in {val(ctx3, 9)}
+    assert {3: "x"}[nu(ctx3, 18)] == "x"
+    assert hash(val(ctx3, 27)) == hash(3)
+    assert sorted([INFINITE, val(ctx3, 9), 0]) == [0, 2, INFINITE]
+
+
 def test_val_examples(ctx3):
     assert val(ctx3, 27) == 3
     assert val(ctx3, 7) == 0
