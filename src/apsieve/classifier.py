@@ -41,13 +41,10 @@ from .psimod import (
 )
 from .steenrod import (
     Derivation,
-    RelationShapeError,
-    SymbolicElement,
     basis_monomials,
     degree_realizable,
     normalize,
     PowerWord,
-    verify_relation_42,
 )
 
 __all__ = [
@@ -400,32 +397,23 @@ def _require(cond: bool, msg: str):
 def _identity(deriv: Derivation, word: tuple[int, ...], g: int,
               expected: dict[tuple[int, ...], int], note: str):
     """Equate ``P^word (x_g)`` with the sum of ``c * P^e (x_g)`` over
-    ``expected``, once ``word`` is checked to normalise to exactly that."""
+    ``expected``, once ``x_g`` is a generator of the type and ``word`` is
+    checked to normalise to exactly that."""
+    _require(g in deriv.space.halves, f"{deriv.space} has no generator x{g}")
     got = {w.exponents: w.coefficient for w in normalize(PowerWord(word, 1), 3)}
     _require(got == expected, f"P^{word} normalises to {got}, not {expected}")
     x = deriv.generator(g)
     rhs = deriv.zero()
     for e, c in expected.items():
-        rhs = rhs + deriv.apply_word(e, x).scale(c)
+        rhs = rhs + deriv.apply_word(e, x) * c
     deriv.equate(deriv.apply_word(word, x), rhs, note)
-
-
-def _relation_42(deriv: Derivation, k: int, element: SymbolicElement, note: str):
-    """Equate ``P^1 P^3 P^(3k-1)`` with ``2 P^(3k+2) P^1`` on ``element``,
-    once :func:`verify_relation_42` holds for ``k``."""
-    try:
-        verify_relation_42(k)
-    except RelationShapeError as exc:  # pragma: no cover - encoding guard
-        raise EndgameEncodingError(str(exc)) from exc
-    lhs = deriv.apply_word((1, 3, 3 * k - 1), element)
-    deriv.equate(lhs, deriv.apply_word((3 * k + 2, 1), element).scale(2), note)
 
 
 def _install_hemmi(deriv: Derivation, space: SpaceType, a: int, n: int, name: str):
     h = hemmi_forced(space, a, n)
     _require(h.forced, f"forced operation (a={a}, n={n}) not available")
     c = deriv.fresh_nonzero(name)
-    fact = deriv.generator(h.target_half).scale(c)
+    fact = deriv.generator(h.target_half) * c
     deriv.install_fact(
         h.source_half, 3**a, fact,
         f"forced: P^{3**a}(x{h.source_half}) = {name}*x{h.target_half}, {name} != 0",
@@ -446,7 +434,6 @@ def _finish(deriv: Derivation, rule_id: str, space: SpaceType) -> EndgameElimina
 def _rule_e1(space: SpaceType) -> EndgameElimination:
     # (4,6,8): P^4 = P^1 P^3 applied to x4 contains no x4^3 term, against
     # the top-power axiom P^4(x4) = x4^3.
-    _require(4 in space.halves, f"{space} has no generator x4")
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 8, "c")
     _identity(deriv, (1, 3), 4, {(4,): 1}, "P^1 P^3 (x4) = P^4(x4) = x4^3")
@@ -459,7 +446,7 @@ def _rule_e2(space: SpaceType) -> EndgameElimination:
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 5, "c")
     _require(not basis_monomials(space, 7), "degree 7 should be empty for (3,5,9)")
-    _relation_42(deriv, 1, deriv.generator(3), "P^1 P^3 P^2 (x3) = 2 P^5 P^1 (x3)")
+    _identity(deriv, (1, 3, 2), 3, {(5, 1): 2}, "P^1 P^3 P^2 (x3) = 2 P^5 P^1 (x3)")
     return _finish(deriv, "E2", space)
 
 
@@ -479,7 +466,6 @@ def _rule_e3(space: SpaceType) -> EndgameElimination:
 def _rule_e4(space: SpaceType) -> EndgameElimination:
     # (10,12,18): P^1 P^9 (x10) = x10^3 pins P^1(x10) = 0 and
     # P^1(x18) != 0; the P^3 P^7 identity then has no x10^3 on the left.
-    _require(10 in space.halves, f"{space} has no generator x10")
     deriv = Derivation(space)
     _identity(deriv, (1, 9), 10, {(10,): 1}, "P^1 P^9 (x10) = P^10(x10) = x10^3")
     _identity(deriv, (3, 7), 10, {(10,): 2, (9, 1): 1},
@@ -492,7 +478,7 @@ def _rule_e5(space: SpaceType) -> EndgameElimination:
     # P^3 P^9 identity applied to x12 contradicts the truncated product.
     deriv = Derivation(space)
     _install_hemmi(deriv, space, 0, 20, "c")
-    _relation_42(deriv, 6, deriv.generator(18), "P^1 P^3 P^17 (x18) = 2 P^20 P^1 (x18)")
+    _identity(deriv, (1, 3, 17), 18, {(20, 1): 2}, "P^1 P^3 P^17 (x18) = 2 P^20 P^1 (x18)")
     _identity(deriv, (3, 9), 12, {(12,): 1, (11, 1): 1},
               "P^3 P^9 (x12) = P^12(x12) + P^11 P^1 (x12)")
     return _finish(deriv, "E5", space)
@@ -506,7 +492,7 @@ def _rule_e6_e7(space: SpaceType, rule_id: str) -> EndgameElimination:
     top = top_operation_lemma(space)
     _require(top.forced == (12, 3), f"expected the unique forced pair (12, 3), got {top}")
     w = deriv.fresh_nonzero("w")
-    deriv.install_fact(12, 3, deriv.generator(18).scale(w), "forced: P^3(x12) = w*x18, w != 0")
+    deriv.install_fact(12, 3, deriv.generator(18) * w, "forced: P^3(x12) = w*x18, w != 0")
     _identity(deriv, (3, 9), 12, {(12,): 1, (11, 1): 1},
               "P^3 P^9 (x12) = P^12(x12) + P^11 P^1 (x12)")
     return _finish(deriv, rule_id, space)

@@ -54,6 +54,10 @@ from .steenrod import (
 # thm1.1-demo checks every type of rank <= 3 with half-degrees up to this
 _DEMO_TOP = 40
 
+# adem_expand walks a // p + 1 values of t for P^a P^b; a million take about
+# a second, while a billion would take minutes, so larger pairs are refused
+_ADEM_MAX_TERMS = 1_000_000
+
 
 class UsageError(Exception):
     """A bad command line: ``main`` prints it as ``Error: ...`` and exits 2."""
@@ -194,6 +198,9 @@ def cmd_adem(p: int, a: int, b: int):
     if is_admissible(word.exponents, p):
         print(f"P^{a} P^{b} is admissible")
         return
+    if a // p + 1 > _ADEM_MAX_TERMS:
+        raise UsageError(f"P^{a} P^{b} needs {a // p + 1} Adem terms, "
+                         f"over the limit of {_ADEM_MAX_TERMS}")
     expansion = normalize(word, p)
     print(f"P^{a} P^{b} = {format_expansion(expansion, p)}")
 
@@ -226,6 +233,12 @@ def cmd_bound(p: int, r: int, fmt: str, out: str | None):
         bound = rank_bound(p, r)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # both numbers are printed in decimal: refuse before any output what
+    # Python would refuse to convert in the middle of it
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 (none) before 3.10.7
+    if limit and max(bound.monomials, bound.min_half_degree) >= 10**limit:
+        raise UsageError(f"the bound at p={p}, rank={r} has more than {limit} digits, "
+                         "Python's limit for integer string conversion")
     document = _base_document("bound", {"p": p, "rank": r})
     document["summary"] = {
         "monomials": bound.monomials,

@@ -549,7 +549,7 @@ class GcdTestResult(namedtuple("GcdTestResult", "passed m")):
 
     __slots__ = ()
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
+    def __bool__(self) -> bool:
         return self.passed
 
 

@@ -11,11 +11,14 @@ with ``P^0`` the identity and binomials taken mod p by Lucas.
 
 The second half of the module implements the action of the powers on a
 truncated polynomial algebra (height ``p + 1``) attached to a space type,
-with unknown coefficients over GF(p): ``P^i`` on a generator of equal
-half-degree is the p-th power, above it zero, and in between a memoised
-linear combination of the basis monomials of the target degree with fresh
-named unknowns.  Scripted derivations accumulate polynomial constraints on
-the unknowns; a contradiction is detected by exhausting GF(p) assignments.
+with unknown coefficients over GF(p).  One polynomial type, ``Expr``,
+holds both the algebra elements and the scalars: its terms are algebra
+monomials times products of named unknowns.  ``P^i`` on a generator of
+equal half-degree is the p-th power, above it zero, and in between a
+memoised linear combination of the basis monomials of the target degree
+with fresh named unknowns.  Scripted derivations accumulate polynomial
+constraints on the unknowns; a contradiction is detected by exhausting
+GF(p) assignments.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ __all__ = [
     "verify_relation_42",
     "verify_relation_43",
     "Expr",
-    "SymbolicElement",
     "Derivation",
     "basis_monomials",
     "degree_realizable",
@@ -219,81 +221,88 @@ def verify_relation_43(l: int) -> Relation43Result:
 
 
 class Expr:
-    """Sparse polynomial over GF(p) in named unknowns.
+    """Sparse polynomial over GF(p) in algebra monomials and named unknowns.
 
-    Terms map monomials (sorted tuples of unknown names, with repetition)
-    to nonzero residues; the empty tuple is the constant term.
+    Terms map ``(monomial, unknowns)`` pairs -- a sorted tuple of generator
+    half-degrees and a sorted tuple of unknown names, both with repetition
+    -- to nonzero residues.  Products of more than p generators vanish
+    (height truncation); a scalar has only the empty monomial.
     """
 
     __slots__ = ("p", "terms")
 
-    def __init__(self, p: int, terms: dict[tuple[str, ...], int] | None = None):
+    def __init__(self, p: int, terms: dict[tuple[tuple, tuple], int] | None = None):
         self.p = p
         self.terms = {}
         if terms:
-            for mono, c in terms.items():
+            for key, c in terms.items():
                 c %= p
                 if c:
-                    self.terms[mono] = c
+                    self.terms[key] = c
 
     @classmethod
     def const(cls, p: int, c: int) -> "Expr":
-        return cls(p, {(): c})
+        return cls(p, {((), ()): c})
 
     @classmethod
     def unknown(cls, p: int, name: str) -> "Expr":
-        return cls(p, {(name,): 1})
+        return cls(p, {((), (name,)): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
+        return all(not names for _, names in self.terms)
 
     def __add__(self, other: "Expr") -> "Expr":
         out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = (out.get(mono, 0) + c) % self.p
+        for key, c in other.terms.items():
+            out[key] = out.get(key, 0) + c
         return Expr(self.p, out)
 
     def __sub__(self, other: "Expr") -> "Expr":
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            out[mono] = (out.get(mono, 0) - c) % self.p
-        return Expr(self.p, out)
+        return self + other * -1
 
     def __mul__(self, other) -> "Expr":
         if isinstance(other, int):
-            return Expr(self.p, {m: c * other for m, c in self.terms.items()})
-        out: dict[tuple[str, ...], int] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            return Expr(self.p, {key: c * other for key, c in self.terms.items()})
+        out: dict[tuple[tuple, tuple], int] = {}
+        for (m1, n1), c1 in self.terms.items():
+            for (m2, n2), c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                out[mono] = (out.get(mono, 0) + c1 * c2) % self.p
+                if len(mono) > self.p:
+                    continue  # height truncation
+                key = (mono, tuple(sorted(n1 + n2)))
+                out[key] = out.get(key, 0) + c1 * c2
         return Expr(self.p, out)
 
     __rmul__ = __mul__
 
+    def monomials(self) -> set[tuple[int, ...]]:
+        return {mono for mono, _ in self.terms}
+
+    def coefficient(self, mono: tuple[int, ...]) -> "Expr":
+        """The scalar coefficient of one monomial."""
+        return Expr(self.p, {((), names): c for (m, names), c in self.terms.items() if m == mono})
+
     def unknowns(self) -> set[str]:
-        return {name for mono in self.terms for name in mono}
+        return {name for _, names in self.terms for name in names}
 
     def evaluate(self, assignment: dict[str, int]) -> int:
+        """The value of a scalar under an assignment of every unknown."""
         total = 0
-        for mono, c in self.terms.items():
-            v = c
-            for name in mono:
-                v = v * assignment[name] % self.p
-            total = (total + v) % self.p
-        return total
+        for (_, names), c in self.terms.items():
+            for name in names:
+                c = c * assignment[name] % self.p
+            total += c
+        return total % self.p
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for mono, c in sorted(self.terms.items()):
-            head = "*".join(mono) if mono else "1"
-            bits.append(f"{c}*{head}" if mono else f"{c}")
-        return " + ".join(bits)
+        bits = [
+            "*".join([str(c), *(f"x{g}" for g in mono), *names])
+            for (mono, names), c in sorted(self.terms.items())
+        ]
+        return " + ".join(bits) or "0"
 
 
 def basis_monomials(space: SpaceType, half_degree: int) -> list[tuple[int, ...]]:
@@ -311,66 +320,12 @@ def degree_realizable(space: SpaceType, d: int) -> bool:
     return d in monomial_degree_multiplicities(space)
 
 
-class SymbolicElement:
-    """Formal sum of truncated-algebra monomials with Expr coefficients.
-
-    Monomials are sorted tuples of generator half-degrees; products of
-    length above p vanish.  All monomials of one element share a degree.
-    """
-
-    __slots__ = ("deriv", "coeffs")
-
-    def __init__(self, deriv: "Derivation", coeffs: dict[tuple[int, ...], Expr] | None = None):
-        self.deriv = deriv
-        self.coeffs = {}
-        if coeffs:
-            for mono, e in coeffs.items():
-                if not e.is_zero():
-                    self.coeffs[mono] = e
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "SymbolicElement") -> "SymbolicElement":
-        out = dict(self.coeffs)
-        for mono, e in other.coeffs.items():
-            out[mono] = out[mono] + e if mono in out else e
-        return SymbolicElement(self.deriv, out)
-
-    def scale(self, c) -> "SymbolicElement":
-        if isinstance(c, int):
-            c = Expr.const(self.deriv.p, c)
-        return SymbolicElement(self.deriv, {m: e * c for m, e in self.coeffs.items()})
-
-    def __mul__(self, other: "SymbolicElement") -> "SymbolicElement":
-        p = self.deriv.p
-        out: dict[tuple[int, ...], Expr] = {}
-        for m1, e1 in self.coeffs.items():
-            for m2, e2 in other.coeffs.items():
-                mono = tuple(sorted(m1 + m2))
-                if len(mono) > p:
-                    continue  # height truncation
-                prod = e1 * e2
-                out[mono] = out[mono] + prod if mono in out else prod
-        return SymbolicElement(self.deriv, out)
-
-    def coefficient(self, mono: tuple[int, ...]) -> Expr:
-        return self.coeffs.get(tuple(sorted(mono)), Expr(self.deriv.p))
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for mono, e in sorted(self.coeffs.items()):
-            name = "*".join(f"x{g}" for g in mono)
-            bits.append(f"({e!r})*{name}")
-        return " + ".join(bits)
-
-
 def _compositions(total: int, parts: int):
-    # ordered tuples of non-negative ints summing to total
-    if parts == 1:
-        yield (total,)
+    # ordered tuples of non-negative ints summing to total; none of no parts
+    # for a positive total, so P^i with i > 0 kills a scalar
+    if parts <= 1:
+        if parts or not total:
+            yield (total,) * parts
         return
     for head in range(total + 1):
         for rest in _compositions(total - head, parts - 1):
@@ -393,26 +348,26 @@ class Derivation:
             raise ValueError("derivations need pairwise distinct generator degrees")
         self.space = space
         self.p = space.p
-        self.facts: dict[tuple[int, int], SymbolicElement] = {}
-        self._memo: dict[tuple[int, int], SymbolicElement] = {}
+        self.facts: dict[tuple[int, int], Expr] = {}
+        self._memo: dict[tuple[int, int], Expr] = {}
         self.constraints: list[Expr] = []
         self.nonzero: list[str] = []
         self.trace: list[str] = []
 
     # -- element constructors ------------------------------------------
-    def zero(self) -> SymbolicElement:
-        return SymbolicElement(self)
+    def zero(self) -> Expr:
+        return Expr(self.p)
 
-    def generator(self, g: int) -> SymbolicElement:
+    def generator(self, g: int) -> Expr:
         if g not in self.space.halves:
             raise ValueError(f"{g} is not a generator half-degree of {self.space}")
-        return SymbolicElement(self, {(g,): Expr.const(self.p, 1)})
+        return Expr(self.p, {((g,), ()): 1})
 
     def fresh_nonzero(self, name: str) -> Expr:
         self.nonzero.append(name)
         return Expr.unknown(self.p, name)
 
-    def install_fact(self, g: int, i: int, element: SymbolicElement, note: str = ""):
+    def install_fact(self, g: int, i: int, element: Expr, note: str = ""):
         if (g, i) in self._memo:
             raise RuntimeError(f"P^{i}(x{g}) already expanded; install facts first")
         self.facts[(g, i)] = element
@@ -420,58 +375,52 @@ class Derivation:
             self.trace.append(note)
 
     # -- the unstable action -------------------------------------------
-    def power_on_generator(self, i: int, g: int) -> SymbolicElement:
+    def power_on_generator(self, i: int, g: int) -> Expr:
         if i == 0:
             return self.generator(g)
         if i > g:
             return self.zero()
         if i == g:
-            return SymbolicElement(self, {(g,) * self.p: Expr.const(self.p, 1)})
+            return Expr(self.p, {((g,) * self.p, ()): 1})
         if (g, i) in self.facts:
             return self.facts[(g, i)]
         if (g, i) not in self._memo:
             target = g + i * (self.p - 1)
             basis = basis_monomials(self.space, target)
-            coeffs = {
-                mono: Expr.unknown(self.p, f"u[{g};{i};{k}]")
-                for k, mono in enumerate(basis)
-            }
-            self._memo[(g, i)] = SymbolicElement(self, coeffs)
+            self._memo[(g, i)] = Expr(self.p, {
+                (mono, (f"u[{g};{i};{k}]",)): 1 for k, mono in enumerate(basis)
+            })
         return self._memo[(g, i)]
 
-    def apply_power(self, i: int, element: SymbolicElement) -> SymbolicElement:
-        """Apply ``P^i`` by the Cartan formula over each monomial."""
+    def apply_power(self, i: int, element: Expr) -> Expr:
+        """Apply ``P^i`` by the Cartan formula over each monomial, carrying
+        each term's scalar through the product."""
         if i == 0:
             return element
         result = self.zero()
-        for mono, coeff in element.coeffs.items():
+        for (mono, names), c in element.terms.items():
             for comp in _compositions(i, len(mono)):
-                piece = None
-                dead = False
+                piece = Expr(self.p, {((), names): c})
                 for a, g in zip(comp, mono):
-                    factor = self.power_on_generator(a, g)
-                    if factor.is_zero():
-                        dead = True
+                    piece = piece * self.power_on_generator(a, g)
+                    if piece.is_zero():
                         break
-                    piece = factor if piece is None else piece * factor
-                if dead or piece is None:
-                    continue
-                result = result + piece.scale(coeff)
+                result = result + piece
         return result
 
-    def apply_word(self, exponents: tuple[int, ...], element: SymbolicElement) -> SymbolicElement:
+    def apply_word(self, exponents: tuple[int, ...], element: Expr) -> Expr:
         """Apply ``P^{i_1} ... P^{i_s}`` (rightmost operator acts first)."""
         for e in reversed(exponents):
             element = self.apply_power(e, element)
         return element
 
     # -- constraints -----------------------------------------------------
-    def equate(self, lhs: SymbolicElement, rhs: SymbolicElement, note: str = ""):
-        monos = set(lhs.coeffs) | set(rhs.coeffs)
-        for mono in sorted(monos):
-            diff = lhs.coefficient(mono) - rhs.coefficient(mono)
-            if not diff.is_zero():
-                self.constraints.append(diff)
+    def equate(self, lhs: Expr, rhs: Expr, note: str = ""):
+        """Constrain the scalar coefficient of each monomial of ``lhs - rhs``
+        to vanish, in sorted monomial order."""
+        diff = lhs - rhs
+        for mono in sorted(diff.monomials()):
+            self.constraints.append(diff.coefficient(mono))
         if note:
             self.trace.append(note)
 

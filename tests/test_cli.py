@@ -167,6 +167,38 @@ def test_bound_and_adem_refuse_a_non_prime(args):
     assert res.output.startswith("Error: p must be an odd prime") and res.output.count("\n") == 1
 
 
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter converts integers of any length")
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_bound_past_the_int_str_limit_is_refused_before_output(fmt, capsys):
+    # the report prints the bound in decimal, which Python refuses past its
+    # conversion limit; the refusal comes before any report text
+    args = ["bound", "--format", fmt, "--p", "10007", "--rank", "10007"]
+    assert main(args, standalone_mode=False) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"Error: the bound at p=10007, rank=10007 has more than {sys.get_int_max_str_digits()} "
+        "digits, Python's limit for integer string conversion\n"
+    )
+
+
+def test_adem_refuses_a_pair_past_the_term_limit(monkeypatch):
+    # the limit itself is admitted: P^6 P^4 needs 6 // 3 + 1 = 3 terms; this
+    # runs first, so that a missing guard fails here instead of hanging below
+    monkeypatch.setattr(cli, "_ADEM_MAX_TERMS", 3)
+    assert run("adem", "6", "4").output == "P^6 P^4 = P^10 - P^9 P^1 + P^8 P^2\n"
+    assert run("adem", "9", "4").exit_code == 2
+    monkeypatch.undo()
+    # unguarded, this pair walks 333,333,334 Adem terms: minutes of work
+    start = time.perf_counter()
+    res = run("adem", "1000000000", "1000000000")
+    assert time.perf_counter() - start < 5
+    assert res.exit_code == 2
+    assert res.output == ("Error: P^1000000000 P^1000000000 needs 333333334 Adem terms, "
+                          "over the limit of 1000000\n")
+
+
 def test_thm11_demo_leaves_the_monomial_cache_alone():
     # the demo enumerates bottom windows only, never a full multiset
     from apsieve.psimod import monomial_degree_multiplicities

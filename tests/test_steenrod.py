@@ -132,9 +132,10 @@ def test_cartan_top_power_and_vanishing(ctx3):
     deriv = Derivation(space)
     x2 = deriv.generator(2)
     top = deriv.apply_power(2, x2)
-    assert set(top.coeffs) == {(2, 2, 2)}
+    assert top.monomials() == {(2, 2, 2)}
     assert deriv.apply_power(3, x2).is_zero()
-    assert deriv.apply_power(0, x2).coeffs == x2.coeffs
+    assert deriv.apply_power(0, x2).terms == x2.terms
+    assert deriv.apply_power(1, Expr.const(3, 1)).is_zero()
 
 
 def test_cartan_product_rule(ctx3):
@@ -143,7 +144,7 @@ def test_cartan_product_rule(ctx3):
     deriv.install_fact(6, 1, deriv.generator(8), "P^1(x6) = x8")
     product = deriv.generator(4) * deriv.generator(6)
     result = deriv.apply_power(1, product)
-    assert set(result.coeffs) == {(4, 8), (6, 6)}
+    assert result.monomials() == {(4, 8), (6, 6)}
     # the x4*x8 part has the installed (constant) coefficient
     assert result.coefficient((4, 8)).is_constant()
     # the x6^2 part carries the fresh unknown for P^1(x4)
@@ -157,7 +158,7 @@ def test_cartan_respects_grading(ctx3):
         for i in range(1, g + 1):
             out = deriv.apply_power(i, deriv.generator(g))
             if not out.is_zero():
-                assert {sum(mono) for mono in out.coeffs} == {g + 2 * i}
+                assert {sum(mono) for mono in out.monomials()} == {g + 2 * i}
 
 
 def test_truncation_kills_long_products(ctx3):
@@ -165,7 +166,7 @@ def test_truncation_kills_long_products(ctx3):
     deriv = Derivation(space)
     x2 = deriv.generator(2)
     cube = x2 * x2 * x2
-    assert set(cube.coeffs) == {(2, 2, 2)}
+    assert cube.monomials() == {(2, 2, 2)}
     assert (cube * x2).is_zero()
 
 
@@ -174,9 +175,7 @@ def test_unknowns_are_memoized(ctx3):
     deriv = Derivation(space)
     first = deriv.power_on_generator(1, 4)
     second = deriv.power_on_generator(1, 4)
-    assert first.coeffs.keys() == second.coeffs.keys()
-    for mono in first.coeffs:
-        assert first.coeffs[mono].terms == second.coeffs[mono].terms
+    assert first.terms == second.terms
 
 
 def test_satisfiable_brute_force(ctx3):
@@ -190,6 +189,17 @@ def test_satisfiable_brute_force(ctx3):
     assert model["c"] * model["d"] % 3 == 1
     deriv.constraints.append(c * Expr.const(3, 2))  # 2c = 0 with c nonzero
     assert deriv.satisfiable() is None
+
+
+def test_satisfiable_refuses_too_many_unknowns_before_searching(ctx3, monkeypatch):
+    deriv = Derivation(SpaceType(ctx3, (2, 4, 6)))
+    for k in range(Derivation.MAX_BRUTE_UNKNOWNS):
+        deriv.fresh_nonzero(f"c{k:02}")
+    assert deriv.satisfiable() == {f"c{k:02}": 1 for k in range(14)}
+    deriv.fresh_nonzero("c14")
+    monkeypatch.setattr("apsieve.steenrod._cartesian", lambda *ranges: pytest.fail("searched"))
+    with pytest.raises(RuntimeError, match="^too many unknowns for exhaustive search: 15$"):
+        deriv.satisfiable()
 
 
 def test_degree_realizable(ctx3):
