@@ -21,8 +21,9 @@ from apsieve.cli import main
 
 DIGESTS = os.path.join(os.path.dirname(__file__), "report_digests.json")
 
-# every reproduce target but prop1..prop4, at the default cap and at 44, and
-# CI's check-type commands under both window policies
+# every reproduce target but prop1..prop4, at the default cap and at 44, the
+# demo at p = 83 and at 421, the largest prime it admits, and CI's check-type
+# commands under both window policies
 COMMANDS = [
     ("reproduce", "thm1.2"),
     ("reproduce", "--cap", "44", "thm1.2"),
@@ -30,6 +31,8 @@ COMMANDS = [
     ("reproduce", "--p", "5", "thm1.1-demo"),
     ("reproduce", "--p", "7", "thm1.1-demo"),
     ("reproduce", "--p", "11", "thm1.1-demo"),
+    ("reproduce", "--p", "83", "thm1.1-demo"),
+    ("reproduce", "--p", "421", "thm1.1-demo"),
     ("reproduce", "lemma3.4"),
     ("reproduce", "adem"),
     ("reproduce", "bound"),
