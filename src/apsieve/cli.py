@@ -18,6 +18,7 @@ import time
 from itertools import combinations_with_replacement
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
+from operator import gt
 
 from . import __version__
 from .classifier import (
@@ -36,10 +37,8 @@ from .psimod import (
     SpaceType,
     check_dp_work,
     class_sums,
-    empty_word_rows,
-    extend_rows,
+    main_lemma_prefix,
     main_lemma_sums,
-    row_degrees,
 )
 from .steenrod import (
     PowerWord,
@@ -280,33 +279,61 @@ def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int) -> None:
     }
 
 
+def _with_generator(bits: int, g: int, d_hi: int) -> int:
+    """The degrees ``<= d_hi`` of the words through one more generator ``g``,
+    from those of the words without it: bit ``d`` of ``bits`` is set when
+    ``d`` is a word's degree, bit 0 standing for the empty word.  Adding
+    ``g`` up to ``2**k - 1`` times is ``k`` doubling shifts, so the step
+    takes ``log2(d_hi / g) + 1`` of them."""
+    mask = (1 << d_hi + 1) - 1
+    shift = g
+    while shift <= d_hi:
+        bits |= bits << shift & mask
+        shift <<= 1
+    return bits
+
+
+def _bit_degrees(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``bits``, ascending."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(found)
+
+
 def _gcd_failing_low_parts(p: int, top: int):
     """Yield each low part up to rank 3 of thm1.1-demo's types at ``p``, with
-    the degrees of its bottom window ``[m_1, p*m_1]``.
+    the degrees of its bottom window ``[m_1, p*m_1]`` as the bits of an int:
+    bit ``d`` is set when ``d`` is the degree of a word, bit 0 for the empty
+    one (see :func:`_with_generator`).
 
     A low part is ``m_1`` and the further half-degrees ``<= min(p*m_1, top)``
     of a type whose gcd test fails.  A prefix's gcd only shrinks as the
     prefix grows, so once it divides p - 1 no extension fails the test: the
-    walk extends only failing prefixes.  It adds half-degrees in ascending
-    order, as the degree count does, so each low part's rows are its
-    parent's extended by one generator; a pending low part keeps its
-    parent's rows, which are never modified, so only one chain of rows is
-    held at a time."""
+    walk over ``m_1 <= x <= y`` extends only failing prefixes, and each low
+    part's degrees are its prefix's with one more generator.  Every
+    generator is at least ``m_1``, so a word of length ``l`` has degree at
+    least ``l * m_1``, and every word of degree ``<= p*m_1`` has at most
+    ``p`` letters: the height bound never cuts the window, whose degrees
+    are all the sums of its generators in ``[m_1, p*m_1]``."""
     for m1 in range(2, top + 1):
         if (p - 1) % m1 == 0:
             continue
         d_hi = p * m1
         cut = min(d_hi, top)
-        lows = [((m1,), m1, empty_word_rows(p))]
-        while lows:
-            low, g, rows = lows.pop()
-            rows = extend_rows(rows, low[-1], d_hi)
-            yield low, row_degrees(rows, m1)
-            if len(low) < 3:
-                for x in range(low[-1], cut + 1):
-                    h = gcd(g, x)
-                    if (p - 1) % h:
-                        lows.append((low + (x,), h, rows))
+        one = _with_generator(1, m1, d_hi)
+        yield (m1,), one
+        for x in range(m1, cut + 1):
+            gx = gcd(m1, x)
+            if (p - 1) % gx == 0:
+                continue
+            two = _with_generator(one, x, d_hi)
+            yield (m1, x), two
+            for y in range(x, cut + 1):
+                if (p - 1) % gcd(gx, y):
+                    yield (m1, x, y), _with_generator(two, y, d_hi)
 
 
 def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
@@ -317,28 +344,30 @@ def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
     # decided once.  A low part stands for itself and every non-decreasing
     # tail from (p*m_1, top] up to rank 3, and its types are listed only when
     # it is uncertified.  The class sums read only ctx and the class degrees,
-    # so each degree tuple is decided once.
+    # so each window's degrees, keyed by their bits, are decided once.
     top = _DEMO_TOP
-    # m_1 >= 3, since 2 divides p - 1, so every window built below has at
-    # most 3 generators, words of length <= p and a spread <= top - 3: it
-    # costs no more than this one
+    # m_1 >= 3, since 2 divides p - 1, so every window walked below has at
+    # most 3 generators and a spread <= top - 3; the degree count on rows
+    # would cost at most this much, and the demo admits the same primes
     try:
         check_dp_work(SpaceType(ctx, (3, top, top)), p * top)
     except ValueError as exc:
         raise UsageError(f"target thm1.1-demo: {exc}") from exc
-    holds: dict[tuple[int, ...], bool] = {}
+    holds: dict[int, bool] = {}
     uncertified = []
     checked = 0
-    for low, degrees in _gcd_failing_low_parts(p, top):
+    for low, bits in _gcd_failing_low_parts(p, top):
         cut = min(p * low[0], top)
         spare = 3 - len(low)
         # sum over j <= spare of C(n + j - 1, j), the tails of length j
         # from the n = top - cut values above the cut
         checked += comb(top - cut + spare, spare)
-        if degrees not in holds:
+        decided = holds.get(bits)
+        if decided is None:
+            degrees = _bit_degrees(bits)[1:]  # all but the empty word's 0
             valuation_sums = class_sums(ctx, degrees)[0]
-            holds[degrees] = all(t > v for t, v in zip(degrees, valuation_sums))
-        if not holds[degrees]:
+            decided = holds[bits] = all(map(gt, degrees, valuation_sums))
+        if not decided:
             for j in range(spare + 1):
                 uncertified.extend(
                     low + tail
@@ -363,10 +392,13 @@ def _reproduce_lemma34(ctx: PrimeContext, document: dict, cap: None) -> None:
         for m in range(1, 31):
             if (p - 1) % m == 0:
                 continue
+            # one prefix serves the runs of t = 1..4, the longest t = 4's
+            prefix = main_lemma_prefix(ctx, m, 4 * (p - 1))
             for t in range(1, 5):
-                sums = main_lemma_sums(ctx, m, t)
+                sums = main_lemma_sums(ctx, m, t, prefix)
                 grids += len(sums)
-                violations.extend([p, m, t, t + d] for d, s in enumerate(sums) if not s < m * t)
+                if max(sums) >= m * t:
+                    violations.extend([p, m, t, t + d] for d, s in enumerate(sums) if s >= m * t)
     document["summary"] = {"grid_points": grids, "violations": violations}
     if violations:
         document["discrepancies"].append(f"{len(violations)} run-product bound violations")

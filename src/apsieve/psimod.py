@@ -40,6 +40,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd
+from operator import add
 
 from .padic import PrimeContext, Valuation, nu_table
 
@@ -55,6 +56,7 @@ __all__ = [
     "condition_report",
     "eliminate_by_psi",
     "gcd_oracle",
+    "main_lemma_prefix",
     "main_lemma_sums",
     "theorem_1_1_test",
     "low_degree_gcd",
@@ -522,7 +524,15 @@ def gcd_oracle(module: PsiModule, class_index: int, k_max: int) -> Valuation:
     return Valuation(total)
 
 
-def main_lemma_sums(ctx: PrimeContext, m: int, t: int) -> list[int]:
+def main_lemma_prefix(ctx: PrimeContext, m: int, span: int) -> list[int]:
+    """``P(d)``, the sum of ``nu(m * e)`` over ``1 <= e <= d``, for ``d = 0
+    .. span``: the prefix :func:`main_lemma_sums` reads for ``m``, which
+    serves every run ``[t, t*p]`` with ``t * (p - 1) <= span``."""
+    nu = nu_table(ctx, m * span)
+    return list(accumulate(map(nu.__getitem__, range(m, m * span + 1, m)), initial=0))
+
+
+def main_lemma_sums(ctx: PrimeContext, m: int, t: int, prefix: list[int] | None = None) -> list[int]:
     """Lemma 3.4's sums over the run ``[t, t*p]``: entry ``i - t`` is the
     sum of ``nu(m * |i - j|)`` over the ``j != i`` of the run, the exact
     valuation, for the primitive root base, of the run product
@@ -535,13 +545,17 @@ def main_lemma_sums(ctx: PrimeContext, m: int, t: int) -> list[int]:
     The ``j`` below ``i`` give the differences ``1 .. i - t`` and those above
     give ``1 .. t*p - i``, so with one prefix sum ``P(d)`` of
     ``nu(m * e)`` over ``e <= d`` the entry is ``P(i - t) + P(t*p - i)``.
+    ``prefix`` is :func:`main_lemma_prefix` of ``m`` for this run or a
+    longer one, so that the runs of one ``m`` share it; without it, this
+    run's is built.
     """
     if m < 1 or t < 1:
         raise ValueError("m and t must be positive")
     span = t * (ctx.p - 1)
-    nu = nu_table(ctx, m * span)
-    prefix = list(accumulate((nu[m * e] for e in range(1, span + 1)), initial=0))
-    return [prefix[d] + prefix[span - d] for d in range(span + 1)]
+    if prefix is None:
+        prefix = main_lemma_prefix(ctx, m, span)
+    # entry d is P(d) + P(span - d)
+    return list(map(add, prefix[:span + 1], prefix[span::-1]))
 
 
 class GcdTestResult(namedtuple("GcdTestResult", "passed m")):

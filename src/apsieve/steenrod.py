@@ -66,7 +66,7 @@ class PowerWord(namedtuple("PowerWord", "exponents coefficient")):
     __slots__ = ()
 
     def __new__(cls, exponents: tuple[int, ...], coefficient: int):
-        if any(e <= 0 for e in exponents):
+        if min(exponents, default=1) <= 0:
             raise ValueError("exponents must be positive (identity factors are dropped)")
         return super().__new__(cls, exponents, coefficient)
 
@@ -75,27 +75,32 @@ def is_admissible(exponents: tuple[int, ...], p: int) -> bool:
     return all(exponents[j] >= p * exponents[j + 1] for j in range(len(exponents) - 1))
 
 
+def _adem_terms(a: int, b: int, p: int) -> list[tuple[tuple[int, ...], int]]:
+    """The nonzero terms of the expansion of ``P^a P^b`` (``a < p*b``), as
+    plain ``(exponents, coefficient)`` pairs, ``P^0`` dropped."""
+    terms = []
+    for t in range(a // p + 1):
+        c = binom_mod_p((p - 1) * (b - t) - 1, a - p * t, p)
+        if c:
+            terms.append(((a + b - t, t) if t else (a + b,), c * (-1) ** (a + t) % p))
+    return terms
+
+
 def adem_expand(a: int, b: int, p: int) -> list[PowerWord]:
     """Admissible expansion of the inadmissible pair ``P^a P^b`` (``a < p*b``)."""
     if a >= p * b:
         raise ValueError(f"P^{a} P^{b} is already admissible at p={p}")
-    out: list[PowerWord] = []
-    for t in range(a // p + 1):
-        c = binom_mod_p((p - 1) * (b - t) - 1, a - p * t, p)
-        c = c * (-1) ** (a + t) % p
-        if c == 0:
-            continue
-        exps = (a + b - t, t) if t > 0 else (a + b,)
-        out.append(PowerWord(exponents=exps, coefficient=c))
-    return out
+    return [PowerWord(exponents, c) for exponents, c in _adem_terms(a, b, p)]
 
 
 def _reduce_to_admissible(exponents: tuple[int, ...], coeff: int, p: int, acc: dict):
+    # rewrites the first inadmissible pair on plain tuples; only normalize's
+    # results become PowerWords
     for j in range(len(exponents) - 1):
         if exponents[j] < p * exponents[j + 1]:
-            for term in adem_expand(exponents[j], exponents[j + 1], p):
-                new = exponents[:j] + term.exponents + exponents[j + 2 :]
-                _reduce_to_admissible(new, coeff * term.coefficient % p, p, acc)
+            head, tail = exponents[:j], exponents[j + 2 :]
+            for term, c in _adem_terms(exponents[j], exponents[j + 1], p):
+                _reduce_to_admissible(head + term + tail, coeff * c % p, p, acc)
             return
     acc[exponents] = (acc.get(exponents, 0) + coeff) % p
 

@@ -3,13 +3,16 @@
 The library counts monomial degrees with a dynamic programme and reads
 ``nu`` from tables; these functions compute the same quantities one pair,
 one base or one monomial at a time, with no shared code beyond the scalar
-``_nu_int``/``_val_int``.
+``_nu_int``/``_val_int``.  The Adem rewriting below goes through a
+validated :class:`~apsieve.steenrod.PowerWord` per term, as returned by
+``adem_expand``, where the library rewrites plain tuples.
 """
 
 from bisect import bisect_right
 from itertools import combinations_with_replacement
 
 from apsieve.padic import INFINITE, PrimeContext, Valuation, _nu_int, _val_int, prime_factors
+from apsieve.steenrod import PowerWord, adem_expand
 
 
 def multiplicative_order(k: int, p: int) -> int:
@@ -96,3 +99,26 @@ def walk_monomial_degrees(space, d_lo: int, d_hi: int) -> tuple[tuple[int, int],
             if d_lo <= d <= d_hi:
                 counts[d] = counts.get(d, 0) + 1
     return tuple(sorted(counts.items()))
+
+
+def _reduce_by_words(exponents: tuple[int, ...], coeff: int, p: int, acc: dict):
+    for j in range(len(exponents) - 1):
+        if exponents[j] < p * exponents[j + 1]:
+            for term in adem_expand(exponents[j], exponents[j + 1], p):
+                new = exponents[:j] + term.exponents + exponents[j + 2 :]
+                _reduce_by_words(new, coeff * term.coefficient % p, p, acc)
+            return
+    acc[exponents] = (acc.get(exponents, 0) + coeff) % p
+
+
+def normalize_by_words(word: PowerWord, p: int) -> list[PowerWord]:
+    """The admissible expansion of ``word``, sorted descending, by rewriting
+    its first inadmissible pair into the words of ``adem_expand`` until none
+    is left."""
+    acc: dict[tuple[int, ...], int] = {}
+    _reduce_by_words(word.exponents, word.coefficient % p, p, acc)
+    return [
+        PowerWord(exponents=e, coefficient=c)
+        for e, c in sorted(acc.items(), reverse=True)
+        if c % p
+    ]

@@ -269,14 +269,18 @@ def test_thm11_demo_lists_the_types_of_uncertified_low_parts(p, failing, monkeyp
     assert tailed == {2, 3}
 
 
+def _set_bits(bits):
+    return tuple(d for d in range(bits.bit_length()) if bits >> d & 1)
+
+
 def test_thm11_demo_decides_each_degree_tuple_once(monkeypatch):
     # 3,584 gcd-failing types share 701 low parts and 247 degree tuples: one
-    # row step per low part and one kernel call per degree tuple, with no
+    # int-row step per low part and one kernel call per degree tuple, with no
     # module, no report and no degree count from scratch
-    calls = {"extend_rows": 0, "class_sums": 0, "PsiModule": 0, "condition_report": 0,
+    calls = {"_with_generator": 0, "class_sums": 0, "PsiModule": 0, "condition_report": 0,
              "_monomial_degrees": 0}
     decided = []
-    for module, name in ((cli, "extend_rows"), (cli, "class_sums"), (psimod, "PsiModule"),
+    for module, name in ((cli, "_with_generator"), (cli, "class_sums"), (psimod, "PsiModule"),
                          (psimod, "condition_report"), (psimod, "_monomial_degrees")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -286,7 +290,7 @@ def test_thm11_demo_decides_each_degree_tuple_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     res = run("reproduce", "thm1.1-demo")
     assert res.exit_code == 0
-    assert calls == {"extend_rows": 701, "class_sums": 247, "PsiModule": 0,
+    assert calls == {"_with_generator": 701, "class_sums": 247, "PsiModule": 0,
                      "condition_report": 0, "_monomial_degrees": 0}
     monkeypatch.undo()
     # each call gets a distinct tuple of sorted distinct degrees
@@ -310,7 +314,7 @@ def test_thm11_demo_decides_as_the_condition_report(p, monkeypatch):
     res = run("reproduce", "--p", str(p), "thm1.1-demo")
     monkeypatch.undo()
     uncertified = json.loads(res.output)["summary"]["uncertified"]
-    walked = list(cli._gcd_failing_low_parts(p, 40))
+    walked = [(low, _set_bits(bits)[1:]) for low, bits in cli._gcd_failing_low_parts(p, 40)]
     assert {degrees for _, degrees in walked} == sums.keys()
     for low, degrees in walked:
         report = condition_report(enumerate_classes(SpaceType(ctx, low), (low[0], p * low[0])))
@@ -322,17 +326,19 @@ def test_thm11_demo_decides_as_the_condition_report(p, monkeypatch):
 
 @pytest.mark.parametrize("p, low_parts", [(3, 701), (5, 730), (7, 549)])
 def test_thm11_demo_carried_rows_match_a_count_from_scratch(p, low_parts):
-    # each low part's degrees come from its parent's rows and one more
+    # each low part's degrees come from its parent's bits and one more
     # generator; a count from nothing must agree on every low part walked,
-    # those whose generators repeat among them
+    # those whose generators repeat among them; bit 0 is the empty word
     ctx = PrimeContext(p)
     walked = list(cli._gcd_failing_low_parts(p, 40))
     degrees = dict(walked)
     assert len(walked) == len(degrees) == low_parts
     if p == 3:
         assert {(5, 5), (5, 5, 10), (3, 3, 3)} <= degrees.keys()
-    for low, got in walked:
-        assert got == enumerate_classes(SpaceType(ctx, low), (low[0], p * low[0])).degrees, low
+    for low, bits in walked:
+        got = _set_bits(bits)
+        assert got[0] == 0, low
+        assert got[1:] == enumerate_classes(SpaceType(ctx, low), (low[0], p * low[0])).degrees, low
 
 
 def test_thm11_demo_runs_at_p_83():
@@ -503,6 +509,23 @@ def test_reproduce_lemma34_summary():
     res = run("reproduce", "lemma3.4")
     assert res.exit_code == 0
     assert json.loads(res.output)["summary"] == {"grid_points": 1860, "violations": []}
+
+
+def test_reproduce_lemma34_lists_each_violation(monkeypatch):
+    # two entries of one run are raised to the bound m * t, so the target
+    # must list both grid points and exit 1
+    def raised(ctx, m, t, prefix):
+        sums = psimod.main_lemma_sums(ctx, m, t, prefix)
+        if (ctx.p, m, t) == (5, 3, 2):
+            sums[1] = sums[4] = m * t
+        return sums
+
+    monkeypatch.setattr(cli, "main_lemma_sums", raised)
+    res = run("reproduce", "lemma3.4")
+    assert res.exit_code == 1
+    doc = json.loads(res.output)
+    assert doc["summary"] == {"grid_points": 1860, "violations": [[5, 3, 2, 3], [5, 3, 2, 6]]}
+    assert doc["discrepancies"] == ["2 run-product bound violations"]
 
 
 def test_reproduce_other_targets():

@@ -25,6 +25,7 @@ from apsieve.psimod import (
     empty_word_rows,
     extend_rows,
     low_degree_gcd,
+    main_lemma_prefix,
     monomial_degree_multiplicities,
     row_degrees,
 )
@@ -197,6 +198,18 @@ def test_main_lemma_sums_match_the_per_point_sums():
                 expected = [sum(nu(ctx, m * abs(i - j)).value for j in run if j != i)
                             for i in run]
                 assert main_lemma_sums(ctx, m, t) == expected, (p, m, t)
+
+
+def test_main_lemma_sums_read_a_longer_runs_prefix():
+    # reproduce lemma3.4 builds one prefix per (p, m), for t = 4, and reads
+    # the shorter runs from it
+    for p in (3, 5, 7):
+        ctx = PrimeContext(p)
+        for m in range(1, 13):
+            prefix = main_lemma_prefix(ctx, m, 4 * (p - 1))
+            assert len(prefix) == 4 * (p - 1) + 1
+            for t in range(1, 5):
+                assert main_lemma_sums(ctx, m, t, prefix) == main_lemma_sums(ctx, m, t), (p, m, t)
 
 
 def test_main_lemma_sums_validation(ctx3):
@@ -672,6 +685,14 @@ def test_dp_work_limit(ctx3, ctx5, monkeypatch):
         enumerate_classes(space, (2, 10))
     assert check_dp_work(space, 9) == 3 * min(35 - 1, 2 * 10 + 4) == 72
     assert enumerate_classes(space, (2, 9)).degrees == tuple(range(2, 10))
+
+
+def test_general_count_stays_on_sets_for_wide_types():
+    # admitted by check_dp_work (3 * 88,559 steps) and counted on sets in
+    # well under a second; int rows as wide as the spread of 10**6 would
+    # take minutes and hundreds of megabytes here
+    space = SpaceType(PrimeContext(79), (2, 3, 10**6))
+    assert len(monomial_degree_multiplicities(space)) == 9_480
 
 
 @settings(max_examples=400, deadline=None)

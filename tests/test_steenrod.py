@@ -15,6 +15,7 @@ from apsieve import (
     verify_relation_43,
 )
 from apsieve.steenrod import Derivation, Expr, is_admissible
+from reference import normalize_by_words
 
 
 def as_dict(words):
@@ -90,6 +91,19 @@ def test_normalize_idempotent_and_linear():
     for w in words:
         assert is_admissible(w.exponents, 3)
         assert sum(w.exponents) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([3, 5, 7]),
+    exponents=st.lists(st.integers(min_value=1, max_value=60), min_size=1, max_size=4),
+    coefficient=st.integers(min_value=1, max_value=6),
+)
+def test_normalize_matches_the_word_by_word_reference(p, exponents, coefficient):
+    # normalize rewrites plain (exponents, coefficient) pairs; the reference
+    # builds a PowerWord for every Adem term it rewrites through
+    word = PowerWord(tuple(exponents), coefficient)
+    assert normalize(word, p) == normalize_by_words(word, p)
 
 
 def test_format_expansion():
