@@ -78,7 +78,11 @@ __all__ = [
     "STEENROD_TARGETS",
     "PSI_CLAIMED",
     "fixture_up_to",
+    "DEFAULT_CAP",
 ]
+
+# the largest half-degree the rank-3 enumeration scans unless told otherwise
+DEFAULT_CAP = 60
 
 # Expected rank-3 candidate lists and final partition (embedded fixtures
 # for the reproduction commands; all half-degree triples).
@@ -648,7 +652,7 @@ def _arithmetic_stages(space: SpaceType) -> FilterResult | _CaseResult | None:
     return _CaseResult(tag.case, keep, detail)
 
 
-def proposition_lists(ctx: PrimeContext | None = None, cap: int = 60) -> dict[int, list[tuple[int, ...]]]:
+def proposition_lists(ctx: PrimeContext | None = None, cap: int = DEFAULT_CAP) -> dict[int, list[tuple[int, ...]]]:
     """Enumerate strictly increasing rank-3 triples up to ``cap`` and run
     the full filter chain, returning the per-case candidate lists."""
     ctx = ctx or PrimeContext(3)
@@ -763,7 +767,7 @@ class ClassificationResult(
     __slots__ = ()
 
 
-def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = 60) -> ClassificationResult:
+def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = DEFAULT_CAP) -> ClassificationResult:
     """Run ``check_type`` on every rank-3 candidate and partition them.
 
     Each type is bucketed by its verdict alone.  The embedded expected

@@ -22,6 +22,7 @@ from operator import gt
 
 from . import __version__
 from .classifier import (
+    DEFAULT_CAP,
     PROP_CASE1,
     PROP_CASE2,
     PROP_CASE3,
@@ -472,15 +473,15 @@ def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bo
     if target not in _REPRODUCE_TARGETS:
         raise UsageError(f"unknown target {target!r}; choose from {tuple(_REPRODUCE_TARGETS)}")
     runner, reads_cap = _REPRODUCE_TARGETS[target]
+    if p != 3 and target != "thm1.1-demo":
+        raise UsageError(f"target {target} is specific to p = 3")
     config = {"p": p, "format": fmt}
     if reads_cap:
-        cap = config["cap"] = 60 if cap is None else cap
+        cap = config["cap"] = DEFAULT_CAP if cap is None else cap
         if cap < p:
             raise UsageError("cap must be at least p")
     elif cap is not None:
         raise UsageError(f"target {target} does not read --cap; only prop1..prop4 and thm1.2 do")
-    if p != 3 and target != "thm1.1-demo":
-        raise UsageError(f"target {target} is specific to p = 3")
     # no type with top >= M0 survives the sieve, and the scan is cubic in the cap
     if reads_cap and cap > (m0 := rank_bound(3, 3).min_half_degree):
         raise UsageError(f"cap must be at most M0 = {m0}, the rank-3 finiteness bound")
@@ -559,7 +560,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = command("reproduce", cmd_reproduce)
     sub.add_argument("--cap", type=int,
                      help="Maximum half-degree for the candidate enumeration of prop1..prop4 "
-                          "and thm1.2 (default: 60).")
+                          f"and thm1.2 (default: {DEFAULT_CAP}).")
     report_options(sub)
     sub.add_argument("--timing", action=argparse.BooleanOptionalAction, default=False,
                      help="Include wall-clock timing (breaks byte-for-byte determinism).")

@@ -62,9 +62,6 @@ __all__ = [
     "low_degree_gcd",
     "monomial_degree_multiplicities",
     "check_dp_work",
-    "empty_word_rows",
-    "extend_rows",
-    "row_degrees",
     "DP_WORK_LIMIT",
     "DEGREE_LIMIT",
 ]
@@ -162,59 +159,22 @@ def check_dp_work(space: SpaceType, d_hi: int | None = None) -> int:
     return work
 
 
-def empty_word_rows(longest: int) -> tuple[frozenset[int], ...]:
-    """The rows of :func:`extend_rows` before any generator: ``rows[l]`` is
-    the set of degrees of the words of length ``l``, for ``l = 0 ..
-    longest``, and only the empty word, of degree 0, has no generator."""
-    return (frozenset((0,)),) + (frozenset(),) * longest
-
-
-def extend_rows(rows, g: int, d_hi: int) -> tuple:
-    """The rows of the words through generator ``g`` from those of the words
-    through the generators already added, each of them at most ``g``:
-    ``rows[l]`` is the set of degrees ``<= d_hi`` of the words of length
-    ``l``, and ``rows[0] == {0}``.
-
-    By increasing length, ``d + g`` joins ``rows[l]`` for each ``d`` of the
-    extended ``rows[l - 1]``, which already holds the words through ``g``, so
-    a word may repeat ``g``.  The first length that gains nothing ends the
-    step: every longer word is a shorter one with one more generator, so no
-    longer word is within ``d_hi - g`` either.  ``rows`` itself is never
-    modified, so the rows of one set of generators serve every extension
-    of it.  Bounded by nothing but ``d_hi`` and ``len(rows)``: a caller
-    admits the whole count with :func:`check_dp_work` first."""
-    room = d_hi - g
-    out = list(rows)
-    prev = rows[0]
-    for l in range(1, len(rows)):
-        new = {d + g for d in prev if d <= room}
-        if not new:
-            break
-        new |= rows[l]
-        prev = out[l] = new
-    return tuple(out)
-
-
-def row_degrees(rows, d_lo: int) -> tuple[int, ...]:
-    """The sorted distinct degrees ``>= d_lo`` of the nonempty words in
-    ``rows`` (see :func:`extend_rows`): the monomial degrees of a window
-    ``[d_lo, d_hi]``."""
-    degrees = sorted(set().union(*rows[1:]))
-    return tuple(degrees[bisect_left(degrees, d_lo):])
-
-
 def _monomial_degrees(space: SpaceType, d_lo: int, d_hi: int) -> tuple[int, ...]:
-    """The sorted monomial degrees in ``[d_lo, d_hi]`` of the height-(p+1)
-    truncated algebra on the generators of ``space``, once
-    :func:`check_dp_work` admits them: the rows of the words of length at
-    most ``p``, no longer than ``d_hi // m_1`` either, extended by each
-    generator ``<= d_hi`` in ascending order."""
+    """The sorted monomial degrees in ``[d_lo, d_hi]``, once :func:`check_dp_work`
+    admits them.  ``rows[l]`` holds the degrees of the words of length ``l``; each
+    generator ``g``, ascending, adds ``d + g`` for each ``d`` in ``rows[l - 1]``,
+    so a word may repeat ``g``; a length that gains nothing ends it, as no longer word fits."""
     check_dp_work(space, d_hi)
     halves = space.halves
-    rows = empty_word_rows(min(space.ctx.p, d_hi // halves[0]))
+    rows = [{0}] + [set() for _ in range(min(space.ctx.p, d_hi // halves[0]))]
     for g in halves[:bisect_right(halves, d_hi)]:
-        rows = extend_rows(rows, g, d_hi)
-    return row_degrees(rows, d_lo)
+        room = d_hi - g
+        for l in range(1, len(rows)):
+            if not (new := {d + g for d in rows[l - 1] if d <= room}):
+                break
+            rows[l] |= new
+    degrees = sorted(set().union(*rows[1:]))
+    return tuple(degrees[bisect_left(degrees, d_lo):])
 
 
 @lru_cache(maxsize=1024)

@@ -147,6 +147,10 @@ def test_p3_only_targets_refuse_other_primes():
         res = run("reproduce", "--p", "5", target)
         assert res.exit_code == 2, (target, res.output)
         assert res.output == f"Error: target {target} is specific to p = 3\n"
+    # the prime is the reason even when the cap is also below it
+    res = run("reproduce", "--p", "5", "--cap", "4", "thm1.2")
+    assert res.exit_code == 2, res.output
+    assert res.output == "Error: target thm1.2 is specific to p = 3\n"
     # the demo runs at the prime it is given
     res = run("reproduce", "--p", "5", "thm1.1-demo")
     assert res.exit_code == 0, res.output

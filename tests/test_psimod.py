@@ -22,12 +22,9 @@ from apsieve.psimod import (
     DP_WORK_LIMIT,
     check_dp_work,
     class_sums,
-    empty_word_rows,
-    extend_rows,
     low_degree_gcd,
     main_lemma_prefix,
     monomial_degree_multiplicities,
-    row_degrees,
 )
 
 from reference import pair_min_int, walk_monomial_degrees
@@ -565,21 +562,6 @@ def test_bottom_window_reads_only_the_low_part(p, counts):
     assert (types, len(low_degrees), len(set(low_degrees.values()))) == counts
 
 
-def test_extend_rows_leaves_the_rows_it_extends_alone():
-    # one parent's rows serve every extension of it: (3, 4) and (3, 5) at
-    # p = 3 on [3, 9], where 8 = 4 + 4 repeats a generator; a second
-    # generator of degree 4 adds no degree
-    parent = extend_rows(empty_word_rows(3), 3, 9)
-    before = [set(row) for row in parent]
-    four = extend_rows(parent, 4, 9)
-    five = extend_rows(parent, 5, 9)
-    assert [set(row) for row in parent] == before == [{0}, {3}, {6}, {9}]
-    assert row_degrees(four, 3) == (3, 4, 6, 7, 8, 9)
-    assert row_degrees(five, 3) == (3, 5, 6, 8, 9)
-    assert row_degrees(extend_rows(four, 4, 9), 3) == row_degrees(four, 3)
-    assert row_degrees(four, 7) == (7, 8, 9)
-
-
 def test_monomial_degree_multiplicities_match_reference():
     spaces = []
     for p, rank, top in ((3, 4, 12), (5, 3, 12), (7, 2, 20)):
@@ -706,6 +688,7 @@ def test_general_count_stays_on_sets_for_wide_types():
 @example(p=5, halves=[7, 9], ends=[0, 13])  # D_hi = 5 < m_1
 @example(p=7, halves=[4, 5], ends=[0, 120])  # D_hi = 42 > p * m_r = 35
 @example(p=11, halves=[30, 30, 30, 30], ends=[100, 100])
+@example(p=3, halves=[3, 4, 4], ends=[25, 75])  # [3, 9]: a second 4 adds no degree
 def test_counted_degrees_match_the_walk(p, halves, ends):
     # the window's ends are percentages of p * m_r, so windows fall below
     # m_1, inside the algebra and past its top degree
