@@ -64,6 +64,37 @@ def test_parser_usage_errors(args, message):
     assert message in res.output
 
 
+_CHECK_TYPE_AT_5 = '{\n  "config": {\n    "k_max": null,\n    "oracle": false,\n    "p": 5,\n'
+
+
+@pytest.mark.parametrize("args, code, output", [
+    (("check-type", "--p=5", "4,6,14"), 0, _CHECK_TYPE_AT_5),
+    (("check-type", "4,6,14", "--p", "5"), 0, _CHECK_TYPE_AT_5),
+    # the last repeat wins: val_5(25) = 2, val_3(25) = 0
+    (("val", "--p", "3", "--p", "5", "25"), 0, "2\n"),
+    (("val", "--p", "3", "--", "-9"), 0, "2\n"),
+    (("check-type", "2,4,6", "--help"), 0, "usage: apsieve check-type "),
+    (("val", "-h"), 0, "usage: apsieve val "),
+    (("check-type", "--oracle=yes", "2,4,6"), 2,
+     "Error: argument --oracle/--no-oracle: ignored explicit argument 'yes'\n"),
+    (("check-type", "2,4,6", "--p"), 2, "Error: argument --p: expected one argument\n"),
+    (("check-type", "--p", "x", "2,4,6"), 2, "Error: argument --p: invalid int value: 'x'\n"),
+    (("val", "--p", "3"), 2, "Error: the following arguments are required: N\n"),
+    (("adem",), 2, "Error: the following arguments are required: A, B\n"),
+    (("adem", "3", "7", "9"), 2, "Error: unrecognized arguments: 9\n"),
+    (("check-type", "-x", "2,4,6"), 2, "Error: unrecognized arguments: -x\n"),
+    ((), 2, "Error: the following arguments are required: COMMAND\n"),
+])
+def test_command_line_forms(args, code, output):
+    # a refusal is exactly one line; an accepted form is pinned by its start
+    res = run(*args)
+    assert res.exit_code == code, res.output
+    if code == 2:
+        assert res.output == output
+    else:
+        assert res.output.startswith(output), res.output
+
+
 def test_unknown_option_names_only_the_option():
     # the option's value takes the TARGET slot, pushing the real target out;
     # the message names the option alone, not the target
