@@ -4,13 +4,13 @@ Exit codes: 0 = reproduced / OK, 1 = substantive diff between computed and
 expected values, 2 = usage error, printed as one ``Error: ...`` line on
 stderr.  Reports are byte-deterministic for a fixed configuration: keys are
 sorted, no timestamps are embedded, and timing is included only on request.
-Arguments are parsed with the standard library's ``argparse``; the parser is
-built once, at import.
+Arguments are read from one table, ``_COMMANDS``, which gives each command's
+handler, options, switches and positionals; ``_run`` parses a command line
+from it and prints ``--help`` from it too, so no parser is built at import.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -63,38 +63,64 @@ class UsageError(Exception):
     """A bad command line: ``main`` prints it as ``Error: ...`` and exits 2."""
 
 
-def _json_text(value, indent: str = "\n") -> str:
+def _json_text(value) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, for a value whose dict
     keys are strings, without the standard library's pure-Python encoder
-    (``json`` uses its C encoder only without ``indent``).  ``indent`` is the
-    line break and indentation that precede ``value``'s closing bracket."""
-    cls = type(value)
-    if cls is str:
-        return encode_basestring_ascii(value)
-    if cls is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    (``json`` uses its C encoder only without ``indent``)."""
+    parts: list[str] = []
+    _json_parts(value, "\n", parts)
+    return "".join(parts)
+
+
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_parts(value, indent: str, parts: list[str]) -> None:
+    """Append the text of ``value`` to ``parts``; ``indent`` is the line break
+    and indentation that precede its closing bracket.  Members that are
+    scalars are written in place, not by a call each."""
+    scalar = _JSON_SCALARS.get(type(value))
+    if scalar is not None:
+        parts.append(scalar(value))
+        return
     inner = indent + "  "
     if isinstance(value, dict):
         if not value:
-            return "{}"
-        items = ("," + inner).join([
-            encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
-            for key in sorted(value)
-        ])
-        return "{" + inner + items + indent + "}"
-    if isinstance(value, (list, tuple)):
+            parts.append("{}")
+            return
+        lead = "{" + inner
+        for key in sorted(value):
+            member = value[key]
+            parts.append(lead + encode_basestring_ascii(key) + ": ")
+            scalar = _JSON_SCALARS.get(type(member))
+            if scalar is None:
+                _json_parts(member, inner, parts)
+            else:
+                parts.append(scalar(member))
+            lead = "," + inner
+        parts.append(indent + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
-        items = ("," + inner).join([_json_text(item, inner) for item in value])
-        return "[" + inner + items + indent + "]"
-    # floats and str or int subclasses; raises TypeError on what JSON cannot hold
-    return json.dumps(value)
+            parts.append("[]")
+            return
+        lead = "[" + inner
+        for member in value:
+            scalar = _JSON_SCALARS.get(type(member))
+            if scalar is None:
+                parts.append(lead)
+                _json_parts(member, inner, parts)
+            else:
+                parts.append(lead + scalar(member))
+            lead = "," + inner
+        parts.append(indent + "]")
+    else:
+        # floats and str or int subclasses; raises TypeError on what JSON cannot hold
+        parts.append(json.dumps(value))
 
 
 def _emit(document: dict, fmt: str, out: str | None):
@@ -161,10 +187,10 @@ def _base_document(target: str, config: dict) -> dict:
     }
 
 
-def _parse_type(ctx_p: int, text: str) -> SpaceType:
+def _parse_type(ctx: PrimeContext, text: str) -> SpaceType:
     try:
         halves = tuple(int(part) for part in text.split(","))
-        space = SpaceType(PrimeContext(ctx_p), halves)
+        space = SpaceType(ctx, halves)
         check_dp_work(space)
         return space
     except ValueError as exc:
@@ -208,7 +234,7 @@ def cmd_adem(p: int, a: int, b: int):
 def cmd_check_type(p: int, window_policy: str, oracle: bool, fmt: str, out: str | None,
                    halves: str):
     """Full staged verdict for one comma-separated type, e.g. 4,8,12."""
-    space = _parse_type(p, halves)
+    space = _parse_type(_prime_context(p), halves)
     # the oracle is exact for every k bound from max(p, k0) on, and costs
     # linear time in it; 50 keeps the bound recorded at small primes
     k_max = max(50, space.ctx.p, space.ctx.k0)
@@ -495,95 +521,224 @@ def cmd_reproduce(p: int, cap: int | None, fmt: str, out: str | None, timing: bo
     return 1 if document["discrepancies"] else 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Raises ``UsageError`` on a bad command line instead of printing the
-    usage and exiting, so that ``main`` reports every usage error alike."""
-
-    def error(self, message):
-        raise UsageError(message)
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _file_path(text: str) -> str:
     if os.path.isdir(text):
-        raise argparse.ArgumentTypeError(f"File {text!r} is a directory.")
+        raise ValueError(f"File {text!r} is a directory.")
     return text
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="apsieve",
-        description="Deterministic sieve and verification toolkit for mod-p H-space types.",
-        allow_abbrev=False,
-    )
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+# An option is (flag, destination, converter, default, help).  The converter
+# turns the value's text into the argument or raises ValueError with the
+# reason; a tuple in its place lists the values accepted.
+_PRIME = ("--p", "p", _int, 3, "the odd prime (default: 3)")
+_REPORT = (
+    ("--format", "fmt", ("json", "markdown"), "json", "report format (default: json)"),
+    ("--out", "out", _file_path, None, "write the report to this file instead of stdout"),
+)
+_N = (("n", _int, "N"),)
 
-    def command(name, handler, doc=None):
-        doc = doc or handler.__doc__
-        sub = commands.add_parser(name, help=doc.splitlines()[0], description=doc,
-                                  allow_abbrev=False)
-        sub.set_defaults(handler=handler)
-        sub.add_argument("--p", type=int, default=3, help="the odd prime (default: 3)")
-        return sub
+# Each command is (handler, description, fixed keyword arguments, options,
+# switches, positionals).  A switch (flag, destination, help) sets its
+# destination to True, its --no- form sets it to False, and it defaults to
+# False.  A positional is (destination, converter, metavar) and is required.
+_COMMANDS = {
+    "val": (cmd_valuation, "Print the p-adic valuation of N.", {"function": val},
+            (_PRIME,), (), _N),
+    "nu": (cmd_valuation, "Print the exact valuation of k0**N - 1.", {"function": nu},
+           (_PRIME,), (), _N),
+    "digitsum": (cmd_valuation, "Print the base-p digit sum of N.", {"function": digit_sum},
+                 (_PRIME,), (), _N),
+    "valfact": (cmd_valuation, "Print the valuation of N factorial.", {"function": val_factorial},
+                (_PRIME,), (), _N),
+    "adem": (cmd_adem, cmd_adem.__doc__, {}, (_PRIME,), (), (("a", _int, "A"), ("b", _int, "B"))),
+    "check-type": (
+        cmd_check_type, cmd_check_type.__doc__, {},
+        (_PRIME, ("--window-policy", "window_policy", ("standard", "exhaustive"), "standard",
+                  "window family of the sieve (default: standard)"), *_REPORT),
+        (("--oracle", "oracle", "Cross-check certified windows with the big-integer gcd oracle."),),
+        (("halves", str, "HALVES"),),
+    ),
+    "bound": (cmd_bound, cmd_bound.__doc__, {},
+              (_PRIME, ("--rank", "r", _int, 3, "the rank (default: 3)"), *_REPORT), (), ()),
+    "reproduce": (
+        cmd_reproduce, cmd_reproduce.__doc__, {},
+        (_PRIME, ("--cap", "cap", _int, None,
+                  "Maximum half-degree for the candidate enumeration of prop1..prop4 "
+                  f"and thm1.2 (default: {DEFAULT_CAP})."), *_REPORT),
+        (("--timing", "timing", "Include wall-clock timing (breaks byte-for-byte determinism)."),),
+        (("target", str, "TARGET"),),
+    ),
+}
 
-    def report_options(sub):
-        sub.add_argument("--format", dest="fmt", choices=("json", "markdown"), default="json",
-                         help="report format (default: json)")
-        sub.add_argument("--out", type=_file_path, metavar="FILE",
-                         help="write the report to FILE instead of stdout")
-
-    for name, function, doc in (
-        ("val", val, "Print the p-adic valuation of N."),
-        ("nu", nu, "Print the exact valuation of k0**N - 1."),
-        ("digitsum", digit_sum, "Print the base-p digit sum of N."),
-        ("valfact", val_factorial, "Print the valuation of N factorial."),
-    ):
-        sub = command(name, cmd_valuation, doc)
-        sub.set_defaults(function=function)
-        sub.add_argument("n", type=int, metavar="N")
-
-    sub = command("adem", cmd_adem)
-    sub.add_argument("a", type=int, metavar="A")
-    sub.add_argument("b", type=int, metavar="B")
-
-    sub = command("check-type", cmd_check_type)
-    sub.add_argument("--window-policy", choices=("standard", "exhaustive"), default="standard",
-                     help="window family of the sieve (default: standard)")
-    sub.add_argument("--oracle", action=argparse.BooleanOptionalAction, default=False,
-                     help="Cross-check certified windows with the big-integer gcd oracle.")
-    report_options(sub)
-    sub.add_argument("halves", metavar="HALVES")
-
-    sub = command("bound", cmd_bound)
-    sub.add_argument("--rank", dest="r", type=int, default=3, help="the rank (default: 3)")
-    report_options(sub)
-
-    sub = command("reproduce", cmd_reproduce)
-    sub.add_argument("--cap", type=int,
-                     help="Maximum half-degree for the candidate enumeration of prop1..prop4 "
-                          f"and thm1.2 (default: {DEFAULT_CAP}).")
-    report_options(sub)
-    sub.add_argument("--timing", action=argparse.BooleanOptionalAction, default=False,
-                     help="Include wall-clock timing (breaks byte-for-byte determinism).")
-    sub.add_argument("target", metavar="TARGET")
-    return parser
+_DESCRIPTION = "Deterministic sieve and verification toolkit for mod-p H-space types."
+def _is_option(arg: str, flags) -> bool:
+    """Whether ``arg`` is read as an option: ``-h`` or one of ``flags``, alone
+    or with a value attached, or any other word that starts with ``-`` and
+    is neither ``-`` itself, a negative number such as ``-9``, ``-.5`` or
+    ``-1.5``, nor a word with a space."""
+    if arg[:1] != "-" or arg == "-":
+        return False
+    if arg[:2] == "-h" or arg.partition("=")[0] in flags:
+        return True
+    whole, dot, fraction = arg[1:].partition(".")
+    if dot:
+        negative = fraction.isdecimal() and (not whole or whole.isdecimal())
+    else:
+        negative = whole.isdecimal()
+    return not (negative or " " in arg)
 
 
-_PARSER = _build_parser()
+def _asks_for_help(arg: str) -> bool:
+    """Whether ``arg`` is ``-h`` or ``--help``; ``-hh`` is ``-h`` twice.  A
+    value given to either, as in ``--help=x``, ``-h=x`` or ``-hx``, is
+    refused."""
+    flag, eq, explicit = arg.partition("=")
+    if flag == "--help":
+        if not eq:
+            return True
+    elif arg[:2] == "-h":
+        # short flags run together after -h, or -h=VALUE: only h is known
+        explicit = (explicit if flag == "-h" else arg[2:]).lstrip("h")
+        if not explicit and arg != "-h=":
+            return True
+    else:
+        return False
+    raise UsageError(f"argument -h/--help: ignored explicit argument {explicit!r}")
+
+
+def _convert(name: str, converter, text: str):
+    """Argument ``name``'s value from ``text``; a bad one is a usage error."""
+    if type(converter) is tuple:
+        if text in converter:
+            return text
+        reason = f"invalid choice: {text!r} (choose from {', '.join(map(repr, converter))})"
+    else:
+        try:
+            return converter(text)
+        except ValueError as exc:
+            reason = str(exc)
+    raise UsageError(f"argument {name}: {reason}")
+
+
+def _help_text(name: str | None) -> str:
+    """The ``--help`` text of command ``name``, or of the program for None."""
+    rows = [("-h, --help", "show this help message and exit")]
+    if name is None:
+        usage = "[-h] COMMAND ..."
+        description = _DESCRIPTION
+        commands = [(command, spec[1].splitlines()[0]) for command, spec in _COMMANDS.items()]
+        sections = (("commands", commands), ("options", rows))
+    else:
+        _, doc, _, options, switches, positionals = _COMMANDS[name]
+        words = [name, "[-h]"]
+        for flag, destination, converter, _, text in options:
+            metavar = ("{" + ",".join(converter) + "}" if type(converter) is tuple
+                       else destination.upper())
+            words.append(f"[{flag} {metavar}]")
+            rows.append((f"{flag} {metavar}", text))
+        for flag, _, text in switches:
+            negation = "--no-" + flag[2:]
+            words.append(f"[{flag} | {negation}]")
+            rows.append((f"{flag}, {negation}", text))
+        words.extend(metavar for _, _, metavar in positionals)
+        usage = " ".join(words)
+        description = "\n".join(line.strip() for line in doc.strip().splitlines())
+        sections = (("options", rows),)
+    lines = [f"usage: apsieve {usage}", "", description]
+    for title, entries in sections:
+        lines += ["", f"{title}:"]
+        for left, text in entries:
+            lines += ([f"  {left:<22}  {text}"] if len(left) <= 22
+                      else [f"  {left}", f"{'':<26}{text}"])
+    return "\n".join(lines) + "\n"
 
 
 def _run(argv) -> int:
-    try:
-        namespace, extras = _PARSER.parse_known_args(argv)
-    except SystemExit as exc:  # ``--help`` exits after printing the help text
-        return exc.code
+    """Parse ``argv`` from ``_COMMANDS`` and run the command's handler.
+
+    Options may come before or after the positionals, as ``--opt value`` or
+    ``--opt=value``, and the last repeat wins; after ``--`` every argument is
+    a positional.  Long options must be spelled in full.  A bad command line
+    raises ``UsageError`` naming the option or metavar at fault."""
+    args = sys.argv[1:] if argv is None else list(argv)
+    extras = []
+    # before the command, -h/--help is the one option known
+    for start, arg in enumerate(args):
+        if _asks_for_help(arg):
+            sys.stdout.write(_help_text(None))
+            return 0
+        if arg == "--" or not _is_option(arg, ("--help",)):
+            break
+        extras.append(arg)
+    else:
+        raise UsageError("the following arguments are required: COMMAND")
+    name = _convert("COMMAND", tuple(_COMMANDS), args[start])
+    handler, _, fixed, options, switches, positionals = _COMMANDS[name]
+    values = dict(fixed)
+    takes_value = {}
+    for flag, destination, converter, default, _ in options:
+        takes_value[flag] = destination, converter
+        values[destination] = default
+    toggles = {}
+    for flag, destination, _ in switches:
+        values[destination] = False
+        names = f"{flag}/--no-{flag[2:]}"
+        toggles[flag] = destination, True, names
+        toggles["--no-" + flag[2:]] = destination, False, names
+    known = {"--help", *takes_value, *toggles}
+    pending = list(positionals)
+    rest = iter(args[start + 1:])
+    after_dashes = took_positional = False
+    for arg in rest:
+        if arg == "--" and not after_dashes:
+            after_dashes = True
+            # a "--" next to no positional is not consumed, as in argparse
+            if not (pending or took_positional):
+                extras.append(arg)
+            continue
+        took_positional = False
+        if after_dashes or not _is_option(arg, known):
+            if pending:
+                destination, converter, metavar = pending.pop(0)
+                values[destination] = _convert(metavar, converter, arg)
+                took_positional = True
+            else:
+                extras.append(arg)
+        elif _asks_for_help(arg):
+            sys.stdout.write(_help_text(name))
+            return 0
+        else:
+            flag, eq, explicit = arg.partition("=")
+            if flag in takes_value:
+                destination, converter = takes_value[flag]
+                if not eq:
+                    explicit = next(rest, "--")
+                    if explicit == "--" or _is_option(explicit, known):
+                        raise UsageError(f"argument {flag}: expected one argument")
+                values[destination] = _convert(flag, converter, explicit)
+            elif flag in toggles:
+                destination, value, names = toggles[flag]
+                if eq:
+                    raise UsageError(f"argument {names}: ignored explicit argument {explicit!r}")
+                values[destination] = value
+            else:
+                extras.append(arg)
+    if pending:
+        raise UsageError("the following arguments are required: "
+                         + ", ".join(metavar for _, _, metavar in pending))
     if extras:
         # an unknown option's value lands in a positional slot, pushing the
         # real positional into the extras, so name only the option tokens
         unknown = [a for a in extras if a.startswith("-")] or extras
         raise UsageError(f"unrecognized arguments: {' '.join(unknown)}")
-    args = vars(namespace)
-    handler = args.pop("handler")
-    return handler(**args) or 0
+    return handler(**values) or 0
 
 
 def main(argv=None, standalone_mode=True, prog_name=None):

@@ -163,9 +163,10 @@ def test_negative_n_is_an_argument():
 
 def test_import_leaves_heavy_modules_unloaded():
     # -S keeps site's .pth files out, so that none of them can preload a module
-    # and hide its import; these four would cost the cold start ~30 ms
+    # and hide its import; the first four would cost the cold start ~30 ms,
+    # the command-line parser and what it pulls in ~4 ms more
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    heavy = ("click", "dataclasses", "inspect", "typing")
+    heavy = ("click", "dataclasses", "inspect", "typing", "argparse", "gettext", "locale", "shutil")
     code = f"import sys, apsieve.cli; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
@@ -195,6 +196,7 @@ def test_p3_only_targets_refuse_other_primes():
     ("bound", "--p", "9", "--rank", "3"),
     ("adem", "--p", "4", "3", "7"),
     ("adem", "--p", "1", "3", "7"),
+    ("check-type", "--p", "4", "2,4,6"),
 ])
 def test_bound_and_adem_refuse_a_non_prime(args):
     res = run(*args)
