@@ -84,6 +84,13 @@ _CHECK_TYPE_AT_5 = '{\n  "config": {\n    "k_max": null,\n    "oracle": false,\n
     (("adem", "3", "7", "9"), 2, "Error: unrecognized arguments: 9\n"),
     (("check-type", "-x", "2,4,6"), 2, "Error: unrecognized arguments: -x\n"),
     ((), 2, "Error: the following arguments are required: COMMAND\n"),
+    # "--" is dropped next to a positional only; -hh is -h twice
+    (("val", "5", "--"), 0, "0\n"),
+    (("bound", "--"), 2, "Error: unrecognized arguments: --\n"),
+    (("val", "-hh"), 0, "usage: apsieve val "),
+    (("val", "-hx", "5"), 2, "Error: argument -h/--help: ignored explicit argument 'x'\n"),
+    (("val", "--help=x", "5"), 2, "Error: argument -h/--help: ignored explicit argument 'x'\n"),
+    (("val", "--p", "-.5", "3"), 2, "Error: argument --p: invalid int value: '-.5'\n"),
 ])
 def test_command_line_forms(args, code, output):
     # a refusal is exactly one line; an accepted form is pinned by its start
