@@ -25,12 +25,11 @@ rather than silently accepting the claim.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from enum import Enum
 from itertools import combinations
 
 from .finiteness import _ilog
-from .padic import PrimeContext, val
+from .padic import PrimeContext, Record, val
 from .psimod import (
     SpaceType,
     condition_report,
@@ -117,13 +116,14 @@ class VerdictKind(str, Enum):
     ELIMINATED = "eliminated"
 
 
-class Verdict(
-    namedtuple("Verdict", "space kind reason certificate trace corroborating",
-               defaults=(None, None, (), ()))
-):
+class Verdict(Record):
     """Per-type outcome with a machine-checkable certificate reference."""
 
     __slots__ = ()
+    _fields = ("space", "kind", "reason", "certificate", "trace", "corroborating")
+
+    def __new__(cls, space, kind, reason=None, certificate=None, trace=(), corroborating=()):
+        return tuple.__new__(cls, (space, kind, reason, certificate, trace, corroborating))
 
     def as_dict(self) -> dict:
         return {
@@ -137,10 +137,14 @@ class Verdict(
         }
 
 
-class FilterResult(namedtuple("FilterResult", "passed detail rule")):
+class FilterResult(Record):
     """Outcome of rule W1 or W2; ``rule`` is 1 for W1, 2 for W2."""
 
     __slots__ = ()
+    _fields = ("passed", "detail", "rule")
+
+    def __new__(cls, passed, detail, rule):
+        return tuple.__new__(cls, (passed, detail, rule))
 
     def __bool__(self) -> bool:
         return self.passed
@@ -177,11 +181,15 @@ def wilkerson_filter_2(space: SpaceType) -> FilterResult:
     return FilterResult(True, "all prime-to-p degrees have companions", 2)
 
 
-class CaseTag(namedtuple("CaseTag", "case s t", defaults=(None, None))):
+class CaseTag(Record):
     """Which of the four rank-3 cases a triple (r, n, m) falls into,
     with the step witness s (cases 1-3) or t (case 4)."""
 
     __slots__ = ()
+    _fields = ("case", "s", "t")
+
+    def __new__(cls, case, s=None, t=None):
+        return tuple.__new__(cls, (case, s, t))
 
 
 def case_split(space: SpaceType) -> CaseTag | None:
@@ -224,8 +232,12 @@ def case_split(space: SpaceType) -> CaseTag | None:
     return None
 
 
-class Lemma43Result(namedtuple("Lemma43Result", "applicable inequality_holds detail")):
+class Lemma43Result(Record):
     __slots__ = ()
+    _fields = ("applicable", "inequality_holds", "detail")
+
+    def __new__(cls, applicable, inequality_holds, detail):
+        return tuple.__new__(cls, (applicable, inequality_holds, detail))
 
 
 def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = None) -> Lemma43Result:
@@ -290,9 +302,7 @@ def lemma_4_3(subcase: int, r: int, n: int, m: int, ctx: PrimeContext | None = N
     return Lemma43Result(True, holds, detail)
 
 
-class HemmiResult(
-    namedtuple("HemmiResult", "applicable source_half target_half forced detail")
-):
+class HemmiResult(Record):
     """Forced reduced-power epimorphism between indecomposables.
 
     When applicable (and both endpoint degrees are generator degrees with
@@ -301,6 +311,10 @@ class HemmiResult(
     """
 
     __slots__ = ()
+    _fields = ("applicable", "source_half", "target_half", "forced", "detail")
+
+    def __new__(cls, applicable, source_half, target_half, forced, detail):
+        return tuple.__new__(cls, (applicable, source_half, target_half, forced, detail))
 
 
 def hemmi_forced(space: SpaceType, a: int, n: int) -> HemmiResult:
@@ -333,7 +347,7 @@ def hemmi_forced(space: SpaceType, a: int, n: int) -> HemmiResult:
     return HemmiResult(True, src, tgt, forced, detail)
 
 
-class TopOperationResult(namedtuple("TopOperationResult", "candidates forced eliminated")):
+class TopOperationResult(Record):
     """Existence of a single reduced power hitting the top generator.
 
     ``candidates`` lists the pairs (source half-degree, exponent i) with
@@ -342,6 +356,10 @@ class TopOperationResult(namedtuple("TopOperationResult", "candidates forced eli
     """
 
     __slots__ = ()
+    _fields = ("candidates", "forced", "eliminated")
+
+    def __new__(cls, candidates, forced, eliminated):
+        return tuple.__new__(cls, (candidates, forced, eliminated))
 
 
 def top_operation_lemma(space: SpaceType) -> TopOperationResult:
@@ -380,10 +398,12 @@ class EndgameEncodingError(RuntimeError):
     """A rule's verified premise failed; the encoding, not the argument."""
 
 
-class EndgameElimination(
-    namedtuple("EndgameElimination", "rule_id space trace constraint_count")
-):
+class EndgameElimination(Record):
     __slots__ = ()
+    _fields = ("rule_id", "space", "trace", "constraint_count")
+
+    def __new__(cls, rule_id, space, trace, constraint_count):
+        return tuple.__new__(cls, (rule_id, space, trace, constraint_count))
 
     def as_dict(self) -> dict:
         return {
@@ -627,8 +647,12 @@ def _case4_filter(space: SpaceType) -> tuple[bool, str]:
 _CASE_FILTERS = {1: _case1_filter, 2: _case2_filter, 3: _case3_filter, 4: _case4_filter}
 
 
-class _CaseResult(namedtuple("_CaseResult", "case passed detail")):
+class _CaseResult(Record):
     __slots__ = ()
+    _fields = ("case", "passed", "detail")
+
+    def __new__(cls, case, passed, detail):
+        return tuple.__new__(cls, (case, passed, detail))
 
 
 def _arithmetic_stages(space: SpaceType) -> FilterResult | _CaseResult | None:
@@ -757,14 +781,18 @@ def check_type(
     return Verdict(space, VerdictKind.SURVIVES, trace=trace + ["no stage eliminates the type"])
 
 
-class ClassificationResult(
-    namedtuple("ClassificationResult", "verdicts survivors quasi_regular steenrod_eliminated "
-               "psi_certified psi_uncertified discrepancies")
-):
+class ClassificationResult(Record):
     """The partition: each type's verdict, the types of each bucket, and
     the diff against the expected lists."""
 
     __slots__ = ()
+    _fields = ("verdicts", "survivors", "quasi_regular", "steenrod_eliminated",
+               "psi_certified", "psi_uncertified", "discrepancies")
+
+    def __new__(cls, verdicts, survivors, quasi_regular, steenrod_eliminated,
+                psi_certified, psi_uncertified, discrepancies):
+        return tuple.__new__(cls, (verdicts, survivors, quasi_regular, steenrod_eliminated,
+                                   psi_certified, psi_uncertified, discrepancies))
 
 
 def classify_theorem_1_2(ctx: PrimeContext | None = None, cap: int = DEFAULT_CAP) -> ClassificationResult:

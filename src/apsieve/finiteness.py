@@ -14,8 +14,9 @@ is constant.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import comb
+
+from .padic import Record
 
 __all__ = ["FinitenessBound", "monomial_count", "rank_bound"]
 
@@ -38,11 +39,15 @@ def _ilog(p: int, x: int) -> int:
     return k
 
 
-class FinitenessBound(namedtuple("FinitenessBound", "p r monomials min_half_degree")):
+class FinitenessBound(Record):
     """Monomial count N and the minimal top half-degree bound M0 above
     which the sieve inequality holds for every m."""
 
     __slots__ = ()
+    _fields = ("p", "r", "monomials", "min_half_degree")
+
+    def __new__(cls, p, r, monomials, min_half_degree):
+        return tuple.__new__(cls, (p, r, monomials, min_half_degree))
 
     def inequality_holds(self, m: int) -> bool:
         return self.monomials * (_ilog(self.p, 2 * (self.p - 1) * m) + 1) < m

@@ -7,6 +7,8 @@ Everything in this module is integer-exact.  The central objects are:
   ``INFINITE``, the valuation of zero, a ``float("inf")`` that compares
   above every finite value, absorbs addition and prints as ``inf``.  No
   table or report holds it.
+- ``Record``: the base of every result record in the package, a tuple
+  whose items are named by its class's ``_fields``.
 - ``PrimeContext``: an odd prime ``p`` together with the smallest
   primitive root ``k0`` modulo ``p**2`` (which is then a primitive root
   modulo every power of ``p``).
@@ -27,12 +29,19 @@ only in test oracles.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
+
+try:  # CPython's C field descriptor, which collections also uses
+    from _collections import _tuplegetter
+except ImportError:  # pragma: no cover - other interpreters
+    def _tuplegetter(index, doc):
+        return property(itemgetter(index), doc=doc)
 
 __all__ = [
     "Valuation",
     "INFINITE",
+    "Record",
     "PrimeContext",
     "is_prime",
     "prime_factors",
@@ -151,7 +160,41 @@ def primitive_root_mod_p2(p: int) -> int:
         k += 1
 
 
-class PrimeContext(namedtuple("PrimeContext", "p k0")):
+class Record(tuple):
+    """An immutable record: a tuple whose items are named by the class's
+    ``_fields``, with tuple equality and hashing.
+
+    Every command starts a fresh interpreter, so the records are written
+    out as plain classes: declaring one compiles no generated source at
+    import.  A subclass sets ``__slots__ = ()``, ``_fields`` and a
+    ``__new__`` over its fields that returns ``tuple.__new__(cls, (...))``.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for index, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(index, f"Field {index}, {name!r}."))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self._fields, self)) + ")"
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed; ``__new__`` does not run
+        again, so its checks do not either."""
+        values = tuple(changes.pop(name, value) for name, value in zip(self._fields, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return tuple.__new__(type(self), values)
+
+
+class PrimeContext(Record):
     """An odd prime with its cached primitive root modulo ``p**2``.
 
     Built from ``p`` alone; immutable, so one context serves every type
@@ -159,11 +202,12 @@ class PrimeContext(namedtuple("PrimeContext", "p k0")):
     """
 
     __slots__ = ()
+    _fields = ("p", "k0")
 
     def __new__(cls, p: int):
         if p < 3 or not is_prime(p):
             raise ValueError(f"p must be an odd prime >= 3, got {p}")
-        return super().__new__(cls, p, primitive_root_mod_p2(p))
+        return tuple.__new__(cls, (p, primitive_root_mod_p2(p)))
 
     def __getnewargs__(self):
         # copy and pickle rebuild a context from p alone, as __new__ takes it

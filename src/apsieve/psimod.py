@@ -36,13 +36,12 @@ smaller degree caps ``nu``.  thm1.1-demo decides from that kernel alone.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd
 from operator import add
 
-from .padic import PrimeContext, Valuation, nu_table
+from .padic import PrimeContext, Record, Valuation, nu_table
 
 __all__ = [
     "SpaceType",
@@ -81,7 +80,7 @@ tuple and the window sweep all grow with them.  A rank-1 algebra costs only
 one with ten million."""
 
 
-class SpaceType(namedtuple("SpaceType", "ctx halves")):
+class SpaceType(Record):
     """A candidate type: context plus sorted half-degrees ``m_1 <= ... <= m_r``.
 
     Immutable after construction.  Equal contexts and half-degrees give
@@ -92,6 +91,7 @@ class SpaceType(namedtuple("SpaceType", "ctx halves")):
     """
 
     __slots__ = ()
+    _fields = ("ctx", "halves")
 
     def __new__(cls, ctx: PrimeContext, halves: tuple[int, ...]):
         halves = tuple(int(m) for m in halves)
@@ -101,7 +101,7 @@ class SpaceType(namedtuple("SpaceType", "ctx halves")):
             raise ValueError("half-degrees must be >= 2 (simply connected, rank-1 circle excluded)")
         if any(a > b for a, b in zip(halves, halves[1:])):
             raise ValueError("half-degrees must be sorted ascending")
-        return super().__new__(cls, ctx, halves)
+        return tuple.__new__(cls, (ctx, halves))
 
     @property
     def rank(self) -> int:
@@ -188,7 +188,7 @@ def monomial_degree_multiplicities(space: SpaceType) -> tuple[int, ...]:
     return _monomial_degrees(space, 1, space.p * space.halves[-1])
 
 
-class PsiModule(namedtuple("PsiModule", "space window degrees witnesses")):
+class PsiModule(Record):
     """Degree data of a windowed truncated-polynomial module.
 
     ``degrees`` holds the distinct monomial degrees inside the window,
@@ -199,6 +199,10 @@ class PsiModule(namedtuple("PsiModule", "space window degrees witnesses")):
     """
 
     __slots__ = ()
+    _fields = ("space", "window", "degrees", "witnesses")
+
+    def __new__(cls, space, window, degrees, witnesses):
+        return tuple.__new__(cls, (space, window, degrees, witnesses))
 
 
 def enumerate_classes(space: SpaceType, window: tuple[int, int]) -> PsiModule:
@@ -218,20 +222,26 @@ def enumerate_classes(space: SpaceType, window: tuple[int, int]) -> PsiModule:
                      degrees=_monomial_degrees(space, d_lo, d_hi), witnesses=witnesses)
 
 
-class ClassCondition(namedtuple("ClassCondition", "degree valuation_sum nu_bound passes")):
+class ClassCondition(Record):
     """Per-class sieve data: exact valuation sum, the coarser all-nu bound,
     and whether the divisibility condition ``v < degree`` holds."""
 
     __slots__ = ()
+    _fields = ("degree", "valuation_sum", "nu_bound", "passes")
+
+    def __new__(cls, degree, valuation_sum, nu_bound, passes):
+        return tuple.__new__(cls, (degree, valuation_sum, nu_bound, passes))
 
 
-class ConditionReport(
-    namedtuple("ConditionReport", "module per_class holds_everywhere witness_used")
-):
+class ConditionReport(Record):
     """A module's per-class conditions, whether they all hold, and the
     witness (``None`` without one)."""
 
     __slots__ = ()
+    _fields = ("module", "per_class", "holds_everywhere", "witness_used")
+
+    def __new__(cls, module, per_class, holds_everywhere, witness_used):
+        return tuple.__new__(cls, (module, per_class, holds_everywhere, witness_used))
 
     def as_dict(self) -> dict:
         return {
@@ -310,11 +320,15 @@ def condition_report(module: PsiModule) -> ConditionReport:
                            witness_used=module.witnesses[0] if module.witnesses else None)
 
 
-class PsiCertificate(namedtuple("PsiCertificate", "window report witness windows_tried")):
+class PsiCertificate(Record):
     """A certified elimination: the window, its full report, the witness,
     and how many windows the search scored to find it."""
 
     __slots__ = ()
+    _fields = ("window", "report", "witness", "windows_tried")
+
+    def __new__(cls, window, report, witness, windows_tried):
+        return tuple.__new__(cls, (window, report, witness, windows_tried))
 
     def replay(self) -> bool:
         """Re-derive the report from the window alone: it must equal the
@@ -518,10 +532,14 @@ def main_lemma_sums(ctx: PrimeContext, m: int, t: int, prefix: list[int] | None 
     return list(map(add, prefix[:span + 1], prefix[span::-1]))
 
 
-class GcdTestResult(namedtuple("GcdTestResult", "passed m")):
+class GcdTestResult(Record):
     """Outcome of the low-degree gcd divisibility test."""
 
     __slots__ = ()
+    _fields = ("passed", "m")
+
+    def __new__(cls, passed, m):
+        return tuple.__new__(cls, (passed, m))
 
     def __bool__(self) -> bool:
         return self.passed

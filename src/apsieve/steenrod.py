@@ -23,10 +23,10 @@ GF(p) assignments.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import combinations_with_replacement, product as _cartesian
 from math import comb
 
+from .padic import Record
 from .psimod import SpaceType, monomial_degree_multiplicities
 
 __all__ = [
@@ -60,15 +60,16 @@ def binom_mod_p(a: int, b: int, p: int) -> int:
     return result
 
 
-class PowerWord(namedtuple("PowerWord", "exponents coefficient")):
+class PowerWord(Record):
     """A reduced-power word with a coefficient mod p."""
 
     __slots__ = ()
+    _fields = ("exponents", "coefficient")
 
     def __new__(cls, exponents: tuple[int, ...], coefficient: int):
         if min(exponents, default=1) <= 0:
             raise ValueError("exponents must be positive (identity factors are dropped)")
-        return super().__new__(cls, exponents, coefficient)
+        return tuple.__new__(cls, (exponents, coefficient))
 
 
 def is_admissible(exponents: tuple[int, ...], p: int) -> bool:
@@ -148,8 +149,12 @@ class RelationShapeError(RuntimeError):
     """A pinned relation failed to normalise to its stated shape."""
 
 
-class Relation42Result(namedtuple("Relation42Result", "k coeff_second epsilon normalized")):
+class Relation42Result(Record):
     __slots__ = ()
+    _fields = ("k", "coeff_second", "epsilon", "normalized")
+
+    def __new__(cls, k, coeff_second, epsilon, normalized):
+        return tuple.__new__(cls, (k, coeff_second, epsilon, normalized))
 
 
 def verify_relation_42(k: int) -> Relation42Result:
@@ -177,10 +182,12 @@ def verify_relation_42(k: int) -> Relation42Result:
     return Relation42Result(k=k, coeff_second=coeff, epsilon=None, normalized=tuple(lhs))
 
 
-class Relation43Result(
-    namedtuple("Relation43Result", "l eps1 eps2 eps3 coeff_trailing normalized")
-):
+class Relation43Result(Record):
     __slots__ = ()
+    _fields = ("l", "eps1", "eps2", "eps3", "coeff_trailing", "normalized")
+
+    def __new__(cls, l, eps1, eps2, eps3, coeff_trailing, normalized):
+        return tuple.__new__(cls, (l, eps1, eps2, eps3, coeff_trailing, normalized))
 
 
 def verify_relation_43(l: int) -> Relation43Result:

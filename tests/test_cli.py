@@ -171,10 +171,17 @@ def test_negative_n_is_an_argument():
 def test_import_leaves_heavy_modules_unloaded():
     # -S keeps site's .pth files out, so that none of them can preload a module
     # and hide its import; the first four would cost the cold start ~30 ms,
-    # the command-line parser and what it pulls in ~4 ms more
+    # the command-line parser and what it pulls in ~4 ms more.  namedtuple
+    # raises once functools has built its own, so the import fails if a
+    # record compiles its class source at import again (~1.2 ms for 20)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     heavy = ("click", "dataclasses", "inspect", "typing", "argparse", "gettext", "locale", "shutil")
-    code = f"import sys, apsieve.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    code = ("import collections, functools, sys\n"
+            "def refuse(*args, **kwargs):\n"
+            "    raise RuntimeError('a record is built by collections.namedtuple')\n"
+            "collections.namedtuple = refuse\n"
+            "import apsieve.cli\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": src}
     res = subprocess.run([sys.executable, "-S", "-c", code], env=env, check=True,
                          capture_output=True, text=True)
