@@ -35,6 +35,7 @@ from apsieve.classifier import (
     Verdict,
     VerdictKind,
 )
+from apsieve.padic import val
 from apsieve.psimod import condition_report, enumerate_classes, theorem_1_1_test
 
 from conftest import RANK2_TYPES
@@ -121,6 +122,43 @@ def test_proposition_lists_agree_with_check_type(ctx3):
         if halves in kept:
             assert f"case {kept[halves]} (" in verdict.trace[2], (halves, verdict.trace)
     assert checked == 21978 and len(kept) == 27
+
+
+def test_what_the_case_filters_see_after_the_gcd_test_w1_and_w2(ctx3):
+    # the facts the case filters rest on, for every strictly increasing triple
+    # with top <= M0 = 115 that passes the gcd test, W1 and W2.  W1 puts r or n
+    # at m - 2s, 1 <= s <= val(m) + 1, so walking that partner and a free third
+    # degree below m finds every such triple
+    triples = {
+        tuple(sorted((m - 2 * s, other))) + (m,)
+        for m in range(4, 116)
+        for s in range(1, min(val(ctx3, m) + 1, (m - 2) // 2) + 1)
+        for other in range(2, m)
+        if other != m - 2 * s
+    }
+    cases = {1: 0, 2: 0, 3: 0, 4: 0}
+    for halves in sorted(triples):
+        space = SpaceType(ctx3, halves)
+        if not (theorem_1_1_test(space).passed and wilkerson_filter_1(space).passed
+                and wilkerson_filter_2(space).passed):
+            continue
+        r, n, m = halves
+        case = case_split(space).case
+        cases[case] += 1
+        if case == 1:
+            assert val(ctx3, n) < val(ctx3, m) and (r == 2 or m <= 3 * r), halves
+        elif case == 2:
+            if r == n - 2 and m < 2 * n - 2 and n % 3 == 2:
+                assert hemmi_forced(space, 0, n).forced, halves
+        elif case == 3:
+            assert n == m - 2 and hemmi_forced(space, 0, m).forced, halves
+            if m % 3 == 1:
+                assert r == n - 2 and hemmi_forced(space, 0, n).forced, halves
+            if n == r + 6 and m == r + 8 and r % 3 == 0 and r // 3 % 3 != 1:
+                assert hemmi_forced(space, 1, r // 3 + 2).forced, halves
+        else:
+            assert m <= 3 * r, halves
+    assert cases == {1: 24, 2: 39, 3: 554, 4: 2}
 
 
 def test_lemma_4_3(ctx3):
