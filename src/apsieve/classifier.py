@@ -568,13 +568,13 @@ def endgame_rules(space: SpaceType) -> EndgameElimination | None:
 
 
 def _case1_filter(space: SpaceType) -> tuple[bool, str]:
+    """Case 1 (3 | m, 3 | n): L1/L2 if r = 2 and n > 6, else L3/L4 if m <= 3r.
+    Unreachable: e(n) >= e(m), as 3^e(m) would divide s, so s > e(m) + 1;
+    and m > 3r with r > 2: 3 not| r (gcd test), n = 2r - 2 (W2), 4 <= r < 2e(m) <= 4."""
     ctx = space.ctx
     r, n, m = space.halves
     en = val(ctx, n)
     em = val(ctx, m)
-    if en >= em:
-        # equal-or-higher valuation below forces s = 1, impossible with 3|n, 3|m
-        return False, "case1: e(n) >= e(m) forces m - n = 2, impossible mod 3"
     if r == 2 and n > 6:
         sub = 1 if em >= en + 2 else 2
         res = lemma_4_3(sub, r, n, m, ctx)
@@ -583,21 +583,14 @@ def _case1_filter(space: SpaceType) -> tuple[bool, str]:
         sub = 3 if em >= en + 2 else 4
         res = lemma_4_3(sub, r, n, m, ctx)
         return res.inequality_holds, f"case1/L{sub}: {res.detail}"
-    if r > 2:
-        # forced n = 2r - 2 with m > 3r: then m - n > m/3 + 2 while the
-        # case condition caps it at 2 e(m) + 2; never both.
-        if n != 2 * r - 2:
-            return False, "case1: r > 2, m > 3r and n != 2r-2 (companion rule leaves no option)"
-        return False, "case1: m - n > m/3 + 2 exceeds 2 e(m) + 2"
     return True, "case1: low-degree branch, case conditions only"
 
 
 def _case2_filter(space: SpaceType) -> tuple[bool, str]:
+    """Case 2 (3 | m, 3 not| n): if r = n - 2, m < 2n - 2 and n = 3k+2, the
+    P^1(x_r) = c x_n needs degree 3n - 8; forced, as no generator reaches 2n - 2."""
     r, n, m = space.halves
     if r == n - 2 and m < 2 * n - 2 and n % 3 == 2:
-        h = hemmi_forced(space, 0, n)
-        if not h.forced:
-            return False, "case2: forced P^1 unavailable where the argument needs it"
         target = 3 * n - 8
         ok = degree_realizable(space, target)
         return ok, f"case2: P^((n-1))(x_r) != 0 needs degree {target} realizable: {ok}"
@@ -605,16 +598,14 @@ def _case2_filter(space: SpaceType) -> tuple[bool, str]:
 
 
 def _case3_filter(space: SpaceType) -> tuple[bool, str]:
+    """Case 3 (3 not| m): degree 3r - 2 if m = 3k+1, else 3n - 2 and, in the
+    family (r, r+6, r+8), r = 3l, degree 9l - 2 or m <= 44.  Forced, unchecked:
+    P^1(x_n) = c x_m, as W2 puts m - 2 among the degrees and case 3 makes it n;
+    if m = 3k+1, r = n - 2, as W2 on n = m - 2 leaves no other companion;
+    and P^1(x_r) = c x_n, as with r = n - 2 no generator reaches 2n - 2;
+    P^3(x_r) = c x_n if l != 1 mod 3: no generator reaches 2r + 6 > r + 8 = m."""
     r, n, m = space.halves
-    h_top = hemmi_forced(space, 0, m)
-    if not h_top.forced:
-        return False, "case3: forced P^1(x_n) unavailable"
     if m % 3 == 1:
-        if r != n - 2:
-            return False, "case3: m = 3k+1 forces r = n-2"
-        h_low = hemmi_forced(space, 0, n)
-        if not h_low.forced:
-            return False, "case3: forced P^1(x_r) unavailable"
         target = 3 * r - 2
         ok = degree_realizable(space, target)
         return ok, f"case3: P^(r-1)(x_r) != 0 needs degree {target} realizable: {ok}"
@@ -625,22 +616,20 @@ def _case3_filter(space: SpaceType) -> tuple[bool, str]:
     if n == r + 6 and m == r + 8 and r % 3 == 0:
         l = r // 3
         if l % 3 != 1:
-            h_deep = hemmi_forced(space, 1, l + 2)
-            if not h_deep.forced:
-                return False, "case3: forced P^3(x_r) unavailable in the (r, r+6, r+8) family"
             deep_target = 9 * l - 2
             ok = degree_realizable(space, deep_target)
             return ok, f"case3 family: P^(3l-1)(x_r) != 0 needs degree {deep_target}: {ok}"
+        # removes (39,45,47) and (48,54,56) at cap 60, and the 8 types with
+        # r = 39, 48, ..., 102 at cap 115; the standard sieve certifies each of
+        # them on its top window [r, 3m] (ROADMAP item 5)
         ok = m <= 44
         return ok, f"case3 family (l = 1 mod 3): bound m <= 44: {ok}"
     return True, f"case3: degree {target} realizable"
 
 
 def _case4_filter(space: SpaceType) -> tuple[bool, str]:
-    r, n, m = space.halves
-    if m > 3 * r:
-        # m = r + 2t < 3t <= 3 e(m) + 3 cannot hold for any valid m
-        return False, "case4: m > 3r forces m < 3 e(m) + 3, impossible"
+    """Case 4 (m - r = 2t): the case conditions alone; m > 3r is unreachable,
+    as m = r + 2t, t <= e(m) + 1 then gives m < 3e(m) + 3, false once m >= 4."""
     return True, "case4: m <= 3r, companion rules only"
 
 
@@ -660,7 +649,10 @@ def _arithmetic_stages(space: SpaceType) -> FilterResult | _CaseResult | None:
     rank-3 type at p = 3: the stages between the gcd test and the scripted
     rules, shared by the enumeration and ``check_type``.  Returns W1's or
     W2's result as it is when it fails (the enumeration's common path), else
-    the case filter's result, or ``None`` where no case split applies."""
+    the case filter's result, or ``None`` where no case split applies.
+    Both callers run it only after the gcd test has passed, so a case filter
+    runs only after the gcd test, W1 and W2 have passed, and its docstring
+    says which of its branches those stages decide first."""
     w1 = wilkerson_filter_1(space)
     if not w1.passed:
         return w1

@@ -411,8 +411,9 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     each ``D_lo`` in turn (see :func:`_run_reaches`).  So each window, in
     the order above, costs one bisect for ``b`` and one comparison, and
     the witness test is one bisect over the half-degrees per ``D_lo``.  A
-    window with at least two classes that passes these filters counts
-    towards ``windows_tried``.  Only the first window whose every class
+    window that passes these filters counts towards ``windows_tried``; it
+    holds at least the two classes ``m_w >= D_lo`` and ``2 m_w <= p m_w <= D_hi``
+    of its lowest witness ``m_w``.  Only the first window whose every class
     passes is rebuilt with :func:`enumerate_classes` and
     :func:`condition_report`, which produce the certificate's report from
     the module alone, by level counts rather than the sweep's run sums; if
@@ -434,7 +435,7 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
     bottom_window = (degrees[0], p * halves[0])
     bottom_gated = theorem_1_1_test(space).passed
     tried = 0
-    for a, (d_lo, reach) in enumerate(zip(degrees, _run_reaches(space.ctx, degrees))):
+    for d_lo, reach in zip(degrees, _run_reaches(space.ctx, degrees)):
         w = bisect_left(halves, d_lo)
         if w == len(halves):
             break  # no generator at or above D_lo, here or further up
@@ -446,8 +447,6 @@ def eliminate_by_psi(space: SpaceType, policy: str = "standard") -> PsiCertifica
             if bottom_gated and (d_lo, d_hi) == bottom_window:
                 continue
             b = bisect_right(degrees, d_hi)
-            if b - a < 2:
-                break
             tried += 1
             if b <= reach:
                 report = condition_report(enumerate_classes(space, (d_lo, d_hi)))

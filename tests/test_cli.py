@@ -22,6 +22,7 @@ from apsieve import (
 )
 from apsieve.cli import main
 from apsieve.psimod import DP_WORK_LIMIT, check_dp_work
+from apsieve.steenrod import RelationShapeError
 
 from conftest import invoke
 
@@ -579,6 +580,67 @@ def test_reproduce_lemma34_lists_each_violation(monkeypatch):
     assert doc["discrepancies"] == ["2 run-product bound violations"]
 
 
+def test_reproduce_cap_below_p_is_a_usage_error():
+    res = run("reproduce", "--cap", "2", "thm1.2")
+    assert (res.exit_code, res.output) == (2, "Error: cap must be at least p\n")
+
+
+def test_reproduce_names_a_fixture_mismatch(monkeypatch, shared_enumeration):
+    # a fixture that disagrees with the computed lists is a discrepancy and exit 1
+    monkeypatch.setattr(classifier, "SURVIVORS", classifier.SURVIVORS[:-1])
+    res = run("reproduce", "thm1.2")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["discrepancies"] == [
+        "survivor list mismatch: computed [(2, 4, 6), (2, 6, 8), (3, 5, 7), (3, 6, 8), "
+        "(6, 8, 10), (6, 8, 12)], expected [(2, 4, 6), (2, 6, 8), (3, 5, 7), (3, 6, 8), "
+        "(6, 8, 10)]"
+    ]
+    res = run("reproduce", "--format", "markdown", "thm1.2")
+    assert res.exit_code == 1
+    assert "\n## discrepancies\n- survivor list mismatch: computed [(2, 4, 6), " in res.output
+
+    monkeypatch.setattr(cli, "PROP_CASE1", cli.PROP_CASE1[1:])
+    res = run("reproduce", "prop1")
+    assert res.exit_code == 1
+    assert json.loads(res.output)["discrepancies"] == [
+        "case 1: computed [(2, 3, 9), (2, 12, 18), (2, 21, 27), (2, 30, 36), (2, 39, 45), "
+        "(7, 12, 18), (10, 12, 18), (16, 30, 36), (19, 30, 36)] != expected [(2, 12, 18), "
+        "(2, 21, 27), (2, 30, 36), (2, 39, 45), (7, 12, 18), (10, 12, 18), (16, 30, 36), "
+        "(19, 30, 36)]"
+    ]
+
+
+def test_reproduce_thm12_markdown_has_a_summary(shared_enumeration):
+    res = run("reproduce", "--format", "markdown", "thm1.2")
+    assert res.exit_code == 0
+    assert res.output.endswith(
+        "\n## summary\n"
+        "- counts: {'survivors': 6, 'quasi_regular': 4, 'steenrod': 8, 'psi_claimed': 9}\n"
+        "- psi_certified: [[2, 21, 27], [2, 30, 36], [2, 39, 45], [16, 30, 36], [18, 24, 26], "
+        "[19, 30, 36], [21, 27, 29], [30, 36, 38]]\n"
+        "- quasi_regular: [[2, 3, 4], [2, 3, 5], [3, 4, 6], [5, 6, 8]]\n"
+        "- steenrod_eliminated: [[2, 3, 6], [2, 12, 18], [3, 5, 9], [4, 6, 8], [7, 12, 18], "
+        "[8, 12, 14], [10, 12, 18], [12, 18, 20]]\n"
+        "- survivors: [[2, 4, 6], [2, 6, 8], [3, 5, 7], [3, 6, 8], [6, 8, 10], [6, 8, 12]]\n\n"
+    )
+    assert "\n## psi_uncertified\n- [2, 3, 9]\n\n## discrepancies\n- none\n" in res.output
+
+
+def test_reproduce_adem_reports_a_relation_that_fails(monkeypatch):
+    def broken(k):
+        raise RelationShapeError(f"broken at k = {k}")
+
+    monkeypatch.setattr(cli, "verify_relation_42", broken)
+    res = run("reproduce", "adem")
+    assert res.exit_code == 1
+    doc = json.loads(res.output)
+    assert doc["discrepancies"] == ["a pinned relation failed to verify"]
+    checks = {check["check"]: check for check in doc["summary"]["checks"]}
+    assert checks["R42 family, k <= 50"] == {
+        "check": "R42 family, k <= 50", "passed": False, "detail": "broken at k = 1"}
+    assert [name for name, check in checks.items() if not check["passed"]] == ["R42 family, k <= 50"]
+
+
 def test_reproduce_other_targets():
     for target in ("lemma3.4", "adem", "bound", "thm1.1-demo"):
         res = run("reproduce", target)
@@ -599,6 +661,14 @@ def test_check_type_oracle_and_policy():
     assert entry["reason"] == "PsiCondition"
     assert any("oracle" in line for line in entry["trace"])
     assert run("check-type", "--p", "3", "2,4,6", "--oracle", "--k-max", "2").exit_code == 2
+
+
+def test_check_type_oracle_on_a_gcd_failing_type():
+    # gcd(4, 8, 12) = 4, so the bottom window's report is checked by the oracle
+    entry = json.loads(run("check-type", "--oracle", "4,8,12").output)["types"][0]
+    assert entry["reason"] == "GcdTest(m=4)"
+    assert entry["trace"] == ["oracle (k_max=50) confirms every valuation sum",
+                              "gcd of low half-degrees is 4, not a divisor of p-1"]
 
 
 def test_oracle_bound_is_derived_from_the_prime():
