@@ -22,8 +22,9 @@ from apsieve.cli import main
 DIGESTS = os.path.join(os.path.dirname(__file__), "report_digests.json")
 
 # every reproduce target but prop1..prop4, at the default cap and at 44, the
-# demo at p = 83 and at 421, the largest prime it admits, and CI's check-type
-# commands under both window policies
+# demo at p = 83 and at 421, the largest prime it admits, the markdown of
+# thm1.1-demo, lemma3.4 and adem, and CI's check-type commands under both
+# window policies
 COMMANDS = [
     ("reproduce", "thm1.2"),
     ("reproduce", "--cap", "44", "thm1.2"),
@@ -36,6 +37,9 @@ COMMANDS = [
     ("reproduce", "lemma3.4"),
     ("reproduce", "adem"),
     ("reproduce", "bound"),
+    ("reproduce", "--format", "markdown", "thm1.1-demo"),
+    ("reproduce", "--format", "markdown", "lemma3.4"),
+    ("reproduce", "--format", "markdown", "adem"),
 ] + [
     ("check-type", "--p", p, "--window-policy", policy, halves)
     for p, halves in (("5", "4,6,14"), ("3", "2,12,57,59"), ("5", "2,50,54"))
