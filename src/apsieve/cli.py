@@ -15,10 +15,7 @@ import json
 import os
 import sys
 import time
-from itertools import combinations_with_replacement
 from json.encoder import encode_basestring_ascii
-from math import comb, gcd
-from operator import gt
 
 from . import __version__
 from .classifier import (
@@ -34,25 +31,8 @@ from .classifier import (
 )
 from .finiteness import rank_bound
 from .padic import PrimeContext, digit_sum, nu, val, val_factorial
-from .psimod import (
-    SpaceType,
-    check_dp_work,
-    class_sums,
-    main_lemma_prefix,
-    main_lemma_sums,
-)
-from .steenrod import (
-    PowerWord,
-    adem_expand,
-    format_expansion,
-    is_admissible,
-    normalize,
-    verify_relation_42,
-    verify_relation_43,
-)
-
-# thm1.1-demo checks every type of rank <= 3 with half-degrees up to this
-_DEMO_TOP = 40
+from .psimod import SpaceType, check_dp_work, gcd_failing_demo, lemma_3_4_grid
+from .steenrod import PowerWord, format_expansion, is_admissible, normalize, pinned_relations
 
 # adem_expand walks a // p + 1 values of t for P^a P^b; a million take about
 # a second, while a billion would take minutes, so larger pairs are refused
@@ -306,160 +286,29 @@ def _reproduce_thm12(ctx: PrimeContext, document: dict, cap: int) -> None:
     }
 
 
-def _with_generator(bits: int, g: int, d_hi: int) -> int:
-    """The degrees ``<= d_hi`` of the words through one more generator ``g``,
-    from those of the words without it: bit ``d`` of ``bits`` is set when
-    ``d`` is a word's degree, bit 0 standing for the empty word.  Adding
-    ``g`` up to ``2**k - 1`` times is ``k`` doubling shifts, so the step
-    takes ``log2(d_hi / g) + 1`` of them."""
-    mask = (1 << d_hi + 1) - 1
-    shift = g
-    while shift <= d_hi:
-        bits |= bits << shift & mask
-        shift <<= 1
-    return bits
-
-
-def _bit_degrees(bits: int) -> tuple[int, ...]:
-    """The positions of the set bits of ``bits``, ascending."""
-    found = []
-    while bits:
-        low = bits & -bits
-        found.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(found)
-
-
-def _gcd_failing_low_parts(p: int, top: int):
-    """Yield each low part up to rank 3 of thm1.1-demo's types at ``p``, with
-    the degrees of its bottom window ``[m_1, p*m_1]`` as the bits of an int:
-    bit ``d`` is set when ``d`` is the degree of a word, bit 0 for the empty
-    one (see :func:`_with_generator`).
-
-    A low part is ``m_1`` and the further half-degrees ``<= min(p*m_1, top)``
-    of a type whose gcd test fails.  A prefix's gcd only shrinks as the
-    prefix grows, so once it divides p - 1 no extension fails the test: the
-    walk over ``m_1 <= x <= y`` extends only failing prefixes, and each low
-    part's degrees are its prefix's with one more generator.  Every
-    generator is at least ``m_1``, so a word of length ``l`` has degree at
-    least ``l * m_1``, and every word of degree ``<= p*m_1`` has at most
-    ``p`` letters: the height bound never cuts the window, whose degrees
-    are all the sums of its generators in ``[m_1, p*m_1]``."""
-    for m1 in range(2, top + 1):
-        if (p - 1) % m1 == 0:
-            continue
-        d_hi = p * m1
-        cut = min(d_hi, top)
-        one = _with_generator(1, m1, d_hi)
-        yield (m1,), one
-        for x in range(m1, cut + 1):
-            gx = gcd(m1, x)
-            if (p - 1) % gx == 0:
-                continue
-            two = _with_generator(one, x, d_hi)
-            yield (m1, x), two
-            for y in range(x, cut + 1):
-                if (p - 1) % gcd(gx, y):
-                    yield (m1, x, y), _with_generator(two, y, d_hi)
-
-
 def _reproduce_thm11_demo(ctx: PrimeContext, document: dict, cap: None) -> None:
-    p = ctx.p
-    # The bottom window [m_1, p*m_1] holds only monomials in the generators
-    # <= p*m_1, so a type and its low part (those generators) have the same
-    # window module, and m_1 is its witness; each gcd-failing low part is
-    # decided once.  A low part stands for itself and every non-decreasing
-    # tail from (p*m_1, top] up to rank 3, and its types are listed only when
-    # it is uncertified.  The class sums read only ctx and the class degrees,
-    # so each window's degrees, keyed by their bits, are decided once.
-    top = _DEMO_TOP
-    # m_1 >= 3, since 2 divides p - 1, so every window walked below has at
-    # most 3 generators and a spread <= top - 3; the degree count on rows
-    # would cost at most this much, and the demo admits the same primes
     try:
-        check_dp_work(SpaceType(ctx, (3, top, top)), p * top)
+        demo = gcd_failing_demo(ctx)
     except ValueError as exc:
         raise UsageError(f"target thm1.1-demo: {exc}") from exc
-    holds: dict[int, bool] = {}
-    uncertified = []
-    checked = 0
-    for low, bits in _gcd_failing_low_parts(p, top):
-        cut = min(p * low[0], top)
-        spare = 3 - len(low)
-        # sum over j <= spare of C(n + j - 1, j), the tails of length j
-        # from the n = top - cut values above the cut
-        checked += comb(top - cut + spare, spare)
-        decided = holds.get(bits)
-        if decided is None:
-            degrees = _bit_degrees(bits)[1:]  # all but the empty word's 0
-            valuation_sums = class_sums(ctx, degrees)[0]
-            decided = holds[bits] = all(map(gt, degrees, valuation_sums))
-        if not decided:
-            for j in range(spare + 1):
-                uncertified.extend(
-                    low + tail
-                    for tail in combinations_with_replacement(range(cut + 1, top + 1), j)
-                )
-    uncertified.sort(key=lambda halves: (len(halves), halves))
-    document["summary"] = {
-        "gcd_failing_types_checked": checked,
-        "uncertified": [list(halves) for halves in uncertified],
-    }
-    if uncertified:
+    document["summary"] = {"gcd_failing_types_checked": demo.checked,
+                           "uncertified": [list(halves) for halves in demo.uncertified]}
+    if demo.uncertified:
         document["discrepancies"].append(
-            f"{len(uncertified)} gcd-failing types not certified on the bottom window"
-        )
+            f"{len(demo.uncertified)} gcd-failing types not certified on the bottom window")
 
 
 def _reproduce_lemma34(ctx: PrimeContext, document: dict, cap: None) -> None:
-    violations = []
-    grids = 0
-    for p in (3, 5):
-        ctx = PrimeContext(p)
-        for m in range(1, 31):
-            if (p - 1) % m == 0:
-                continue
-            # one prefix serves the runs of t = 1..4, the longest t = 4's
-            prefix = main_lemma_prefix(ctx, m, 4 * (p - 1))
-            for t in range(1, 5):
-                sums = main_lemma_sums(ctx, m, t, prefix)
-                grids += len(sums)
-                if max(sums) >= m * t:
-                    violations.extend([p, m, t, t + d] for d, s in enumerate(sums) if s >= m * t)
-    document["summary"] = {"grid_points": grids, "violations": violations}
+    grid_points, violations = lemma_3_4_grid()
+    document["summary"] = {"grid_points": grid_points, "violations": violations}
     if violations:
         document["discrepancies"].append(f"{len(violations)} run-product bound violations")
 
 
 def _reproduce_adem(ctx: PrimeContext, document: dict, cap: None) -> None:
-    checks = []
-    ok = True
-
-    def record(name: str, passed: bool, detail: str = ""):
-        nonlocal ok
-        checks.append({"check": name, "passed": passed, "detail": detail})
-        ok = ok and passed
-
-    got44 = {w.exponents: w.coefficient for w in adem_expand(3, 7, 3)}
-    record("P^3 P^7 = - P^10 + P^9 P^1", got44 == {(10,): 2, (9, 1): 1}, str(got44))
-    got45 = {w.exponents: w.coefficient for w in adem_expand(3, 9, 3)}
-    record("P^3 P^9 = P^12 + P^11 P^1", got45 == {(12,): 1, (11, 1): 1}, str(got45))
-    got11 = {w.exponents: w.coefficient for w in adem_expand(1, 1, 3)}
-    record("P^1 P^1 = 2 P^2", got11 == {(2,): 2}, str(got11))
-    try:
-        for k in range(1, 51):
-            verify_relation_42(k)
-        record("R42 family, k <= 50", True)
-    except Exception as exc:  # noqa: BLE001 - reported, not raised
-        record("R42 family, k <= 50", False, str(exc))
-    try:
-        for l in range(2, 51):
-            verify_relation_43(l)
-        record("R43 family, l <= 50", True)
-    except Exception as exc:  # noqa: BLE001
-        record("R43 family, l <= 50", False, str(exc))
+    checks = [dict(zip(("check", "passed", "detail"), triple)) for triple in pinned_relations()]
     document["summary"] = {"checks": checks}
-    if not ok:
+    if not all(check["passed"] for check in checks):
         document["discrepancies"].append("a pinned relation failed to verify")
 
 

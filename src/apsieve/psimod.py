@@ -37,9 +37,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import comb, gcd
-from operator import add
+from operator import add, gt
 
 from .padic import PrimeContext, Record, Valuation, nu_table
 
@@ -52,11 +52,13 @@ __all__ = [
     "GcdTestResult",
     "enumerate_classes",
     "class_sums",
+    "GcdFailingDemo",
+    "gcd_failing_demo",
     "condition_report",
     "eliminate_by_psi",
     "gcd_oracle",
-    "main_lemma_prefix",
     "main_lemma_sums",
+    "lemma_3_4_grid",
     "theorem_1_1_test",
     "low_degree_gcd",
     "monomial_degree_multiplicities",
@@ -78,6 +80,8 @@ DEGREE_LIMIT = 100_000
 tuple and the window sweep all grow with them.  A rank-1 algebra costs only
 ``K`` steps but holds ``K`` degrees, so the step bound alone would admit
 one with ten million."""
+
+_DEMO_TOP = 40  # thm1.1-demo checks every type of rank <= 3 with half-degrees up to this
 
 
 class SpaceType(Record):
@@ -299,6 +303,114 @@ def class_sums(ctx: PrimeContext, degrees) -> tuple[list[int], list[int]]:
     return valuation_sums, nu_bounds
 
 
+def _with_generator(bits: int, g: int, d_hi: int) -> int:
+    """The degrees ``<= d_hi`` of the words through one more generator ``g``,
+    from those of the words without it: bit ``d`` of ``bits`` is set when
+    ``d`` is a word's degree, bit 0 standing for the empty word.  Adding
+    ``g`` up to ``2**k - 1`` times is ``k`` doubling shifts, so the step
+    takes ``log2(d_hi / g) + 1`` of them."""
+    mask = (1 << d_hi + 1) - 1
+    shift = g
+    while shift <= d_hi:
+        bits |= bits << shift & mask
+        shift <<= 1
+    return bits
+
+
+def _bit_degrees(bits: int) -> tuple[int, ...]:
+    """The positions of the set bits of ``bits``, ascending."""
+    found = []
+    while bits:
+        low = bits & -bits
+        found.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(found)
+
+
+def _gcd_failing_low_parts(p: int, top: int):
+    """Yield each low part up to rank 3 of thm1.1-demo's types at ``p``, with
+    the degrees of its bottom window ``[m_1, p*m_1]`` as the bits of an int:
+    bit ``d`` is set when ``d`` is the degree of a word, bit 0 for the empty
+    one (see :func:`_with_generator`).
+
+    A low part is ``m_1`` and the further half-degrees ``<= min(p*m_1, top)``
+    of a type whose gcd test fails.  A prefix's gcd only shrinks as the
+    prefix grows, so once it divides p - 1 no extension fails the test: the
+    walk over ``m_1 <= x <= y`` extends only failing prefixes, and each low
+    part's degrees are its prefix's with one more generator.  Every
+    generator is at least ``m_1``, so a word of length ``l`` has degree at
+    least ``l * m_1``, and every word of degree ``<= p*m_1`` has at most
+    ``p`` letters: the height bound never cuts the window, whose degrees
+    are all the sums of its generators in ``[m_1, p*m_1]``."""
+    for m1 in range(2, top + 1):
+        if (p - 1) % m1 == 0:
+            continue
+        d_hi = p * m1
+        cut = min(d_hi, top)
+        one = _with_generator(1, m1, d_hi)
+        yield (m1,), one
+        for x in range(m1, cut + 1):
+            gx = gcd(m1, x)
+            if (p - 1) % gx == 0:
+                continue
+            two = _with_generator(one, x, d_hi)
+            yield (m1, x), two
+            for y in range(x, cut + 1):
+                if (p - 1) % gcd(gx, y):
+                    yield (m1, x, y), _with_generator(two, y, d_hi)
+
+
+class GcdFailingDemo(Record):
+    """How many types :func:`gcd_failing_demo` checked, and those uncertified."""
+
+    __slots__ = ()
+    _fields = ("checked", "uncertified")
+
+    def __new__(cls, checked, uncertified):
+        return tuple.__new__(cls, (checked, uncertified))
+
+
+def gcd_failing_demo(ctx: PrimeContext) -> GcdFailingDemo:
+    """Check the bottom window ``[m_1, p*m_1]`` of each gcd-failing type of rank <= 3 and
+    half-degrees <= 40, listing the uncertified by rank, then half-degrees.  Raises
+    ``ValueError``, from :func:`check_dp_work`, at a prime whose windows cost too much."""
+    p = ctx.p
+    # The bottom window [m_1, p*m_1] holds only monomials in the generators
+    # <= p*m_1, so a type and its low part (those generators) have the same
+    # window module, and m_1 is its witness; each gcd-failing low part is
+    # decided once.  A low part stands for itself and every non-decreasing
+    # tail from (p*m_1, top] up to rank 3, and its types are listed only when
+    # it is uncertified.  The class sums read only ctx and the class degrees,
+    # so each window's degrees, keyed by their bits, are decided once.
+    top = _DEMO_TOP
+    # m_1 >= 3, since 2 divides p - 1, so every window walked below has at
+    # most 3 generators and a spread <= top - 3; the degree count on rows
+    # would cost at most this much, and the demo admits the same primes
+    check_dp_work(SpaceType(ctx, (3, top, top)), p * top)
+    holds: dict[int, bool] = {}
+    uncertified = []
+    checked = 0
+    for low, bits in _gcd_failing_low_parts(p, top):
+        cut = min(p * low[0], top)
+        spare = 3 - len(low)
+        # sum over j <= spare of C(n + j - 1, j), the tails of length j
+        # from the n = top - cut values above the cut
+        checked += comb(top - cut + spare, spare)
+        decided = holds.get(bits)
+        if decided is None:
+            degrees = _bit_degrees(bits)[1:]  # all but the empty word's 0
+            valuation_sums = class_sums(ctx, degrees)[0]
+            decided = holds[bits] = all(map(gt, degrees, valuation_sums))
+        if not decided:
+            for j in range(spare + 1):
+                uncertified.extend(
+                    low + tail
+                    for tail in combinations_with_replacement(range(cut + 1, top + 1), j)
+                )
+    uncertified.sort(key=lambda halves: (len(halves), halves))
+    return GcdFailingDemo(checked, uncertified)
+
+
 def condition_report(module: PsiModule) -> ConditionReport:
     """Evaluate the divisibility condition on every class of ``module``, by
     the :func:`class_sums` of its sorted degrees; the records keep the
@@ -497,15 +609,22 @@ def gcd_oracle(module: PsiModule, class_index: int, k_max: int) -> Valuation:
     return Valuation(total)
 
 
-def main_lemma_prefix(ctx: PrimeContext, m: int, span: int) -> list[int]:
+def _main_lemma_prefix(ctx: PrimeContext, m: int, span: int) -> list[int]:
     """``P(d)``, the sum of ``nu(m * e)`` over ``1 <= e <= d``, for ``d = 0
-    .. span``: the prefix :func:`main_lemma_sums` reads for ``m``, which
+    .. span``: the prefix :func:`_main_lemma_run` reads for ``m``, which
     serves every run ``[t, t*p]`` with ``t * (p - 1) <= span``."""
     nu = nu_table(ctx, m * span)
     return list(accumulate(map(nu.__getitem__, range(m, m * span + 1, m)), initial=0))
 
 
-def main_lemma_sums(ctx: PrimeContext, m: int, t: int, prefix: list[int] | None = None) -> list[int]:
+def _main_lemma_run(ctx: PrimeContext, m: int, t: int, prefix: list[int]) -> list[int]:
+    """:func:`main_lemma_sums` from a :func:`_main_lemma_prefix` of ``m`` this long or longer."""
+    span = t * (ctx.p - 1)
+    # entry d is P(d) + P(span - d)
+    return list(map(add, prefix[:span + 1], prefix[span::-1]))
+
+
+def main_lemma_sums(ctx: PrimeContext, m: int, t: int) -> list[int]:
     """Lemma 3.4's sums over the run ``[t, t*p]``: entry ``i - t`` is the
     sum of ``nu(m * |i - j|)`` over the ``j != i`` of the run, the exact
     valuation, for the primitive root base, of the run product
@@ -518,17 +637,28 @@ def main_lemma_sums(ctx: PrimeContext, m: int, t: int, prefix: list[int] | None 
     The ``j`` below ``i`` give the differences ``1 .. i - t`` and those above
     give ``1 .. t*p - i``, so with one prefix sum ``P(d)`` of
     ``nu(m * e)`` over ``e <= d`` the entry is ``P(i - t) + P(t*p - i)``.
-    ``prefix`` is :func:`main_lemma_prefix` of ``m`` for this run or a
-    longer one, so that the runs of one ``m`` share it; without it, this
-    run's is built.
     """
     if m < 1 or t < 1:
         raise ValueError("m and t must be positive")
-    span = t * (ctx.p - 1)
-    if prefix is None:
-        prefix = main_lemma_prefix(ctx, m, span)
-    # entry d is P(d) + P(span - d)
-    return list(map(add, prefix[:span + 1], prefix[span::-1]))
+    return _main_lemma_run(ctx, m, t, _main_lemma_prefix(ctx, m, t * (ctx.p - 1)))
+
+
+def lemma_3_4_grid() -> tuple[int, list[list[int]]]:
+    """Lemma 3.4 at p = 3, 5, ``m <= 30`` not dividing ``p - 1``, ``t <= 4``: how many points
+    ``(p, m, t, i)``, ``t <= i <= t*p``, and those whose sum reaches ``m * t``, as lists."""
+    grid_points, violations = 0, []
+    for p in (3, 5):
+        ctx = PrimeContext(p)
+        for m in range(1, 31):
+            if (p - 1) % m == 0:
+                continue
+            # one prefix serves the runs of t = 1..4, the longest t = 4's
+            prefix = _main_lemma_prefix(ctx, m, 4 * (p - 1))
+            for t in range(1, 5):
+                sums = _main_lemma_run(ctx, m, t, prefix)
+                grid_points += len(sums)
+                violations.extend([p, m, t, t + d] for d, s in enumerate(sums) if s >= m * t)
+    return grid_points, violations
 
 
 class GcdTestResult(Record):

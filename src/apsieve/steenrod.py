@@ -41,6 +41,7 @@ __all__ = [
     "Relation43Result",
     "verify_relation_42",
     "verify_relation_43",
+    "pinned_relations",
     "Expr",
     "Derivation",
     "basis_monomials",
@@ -225,6 +226,26 @@ def verify_relation_43(l: int) -> Relation43Result:
         coeff_trailing=coeffs["trail"],
         normalized=tuple(lhs),
     )
+
+
+def pinned_relations() -> list[tuple[str, bool, str]]:
+    """``(check, passed, detail)`` for three Adem expansions at p = 3 and the families (4.2),
+    (4.3) up to 50; the calls read this module's globals, so wrappers bound there see them."""
+    checks = []
+    for check, a, b, expected in (("P^3 P^7 = - P^10 + P^9 P^1", 3, 7, {(10,): 2, (9, 1): 1}),
+                                  ("P^3 P^9 = P^12 + P^11 P^1", 3, 9, {(12,): 1, (11, 1): 1}),
+                                  ("P^1 P^1 = 2 P^2", 1, 1, {(2,): 2})):
+        got = {w.exponents: w.coefficient for w in adem_expand(a, b, 3)}
+        checks.append((check, got == expected, str(got)))
+    for check, verify, first in (("R42 family, k <= 50", verify_relation_42, 1),
+                                 ("R43 family, l <= 50", verify_relation_43, 2)):
+        try:
+            for n in range(first, 51):
+                verify(n)
+            checks.append((check, True, ""))
+        except RelationShapeError as exc:
+            checks.append((check, False, str(exc)))
+    return checks
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ import importlib
 import importlib.util
 import os
 import sys
+from collections import Counter
 from math import comb
 
 import pytest
@@ -73,6 +74,25 @@ def test_tracer_restores_every_original(tracer):
     assert values["classifier.triples_scanned"] == comb(19, 3)
     kept = proposition_lists(PrimeContext(3), cap=20)
     assert values["classifier.funnel.kept"] == sum(map(len, kept.values()))
+
+
+def test_traced_spans_of_the_relation_sweep_and_the_bound(tracer, capsys):
+    # verify-targets times these three by the wrappers bound in their own
+    # modules; a caller that reached them through a local alias would leave
+    # their spans, and so their per-layer times, at zero
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        trace.begin(0)
+        codes = [trace.root(main, ["reproduce", target], standalone_mode=False,
+                            prog_name="apsieve") for target in ("adem", "bound")]
+        spans = Counter(span[1] for span in trace.spans)
+    finally:
+        trace.uninstall()
+    capsys.readouterr()
+    assert codes == [0, 0]
+    assert (spans["steenrod.verify_relation_42"], spans["steenrod.verify_relation_43"],
+            spans["finiteness.rank_bound"]) == (50, 49, 1)
 
 
 def test_fields_the_benchmark_reads():

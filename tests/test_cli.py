@@ -18,6 +18,7 @@ from apsieve import (
     condition_report,
     enumerate_classes,
     psimod,
+    steenrod,
     theorem_1_1_test,
 )
 from apsieve.cli import main
@@ -301,12 +302,12 @@ def test_thm11_demo_lists_the_types_of_uncertified_low_parts(p, failing, monkeyp
     def holds(module):
         return 9 not in module.degrees and _holds_everywhere(module)
 
-    def failing_sums(ctx, degrees):
-        valuation_sums, nu_bounds = psimod.class_sums(ctx, degrees)
+    def failing_sums(ctx, degrees, _real=psimod.class_sums):
+        valuation_sums, nu_bounds = _real(ctx, degrees)
         # class 9's sum reaches its degree
         return [9 if t == 9 else v for t, v in zip(degrees, valuation_sums)], nu_bounds
 
-    monkeypatch.setattr(cli, "class_sums", failing_sums)
+    monkeypatch.setattr(psimod, "class_sums", failing_sums)
     res = run("reproduce", "--p", str(p), "thm1.1-demo")
     assert res.exit_code == 1, res.output
     doc = json.loads(res.output)
@@ -332,7 +333,7 @@ def test_thm11_demo_decides_each_degree_tuple_once(monkeypatch):
     calls = {"_with_generator": 0, "class_sums": 0, "PsiModule": 0, "condition_report": 0,
              "_monomial_degrees": 0}
     decided = []
-    for module, name in ((cli, "_with_generator"), (cli, "class_sums"), (psimod, "PsiModule"),
+    for module, name in ((psimod, "_with_generator"), (psimod, "class_sums"), (psimod, "PsiModule"),
                          (psimod, "condition_report"), (psimod, "_monomial_degrees")):
         def counted(*args, _real=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -358,15 +359,15 @@ def test_thm11_demo_decides_as_the_condition_report(p, monkeypatch):
     ctx = PrimeContext(p)
     sums = {}
 
-    def recording(ctx, degrees):
-        sums[degrees] = psimod.class_sums(ctx, degrees)
+    def recording(ctx, degrees, _real=psimod.class_sums):
+        sums[degrees] = _real(ctx, degrees)
         return sums[degrees]
 
-    monkeypatch.setattr(cli, "class_sums", recording)
+    monkeypatch.setattr(psimod, "class_sums", recording)
     res = run("reproduce", "--p", str(p), "thm1.1-demo")
     monkeypatch.undo()
     uncertified = json.loads(res.output)["summary"]["uncertified"]
-    walked = [(low, _set_bits(bits)[1:]) for low, bits in cli._gcd_failing_low_parts(p, 40)]
+    walked = [(low, _set_bits(bits)[1:]) for low, bits in psimod._gcd_failing_low_parts(p, 40)]
     assert {degrees for _, degrees in walked} == sums.keys()
     for low, degrees in walked:
         report = condition_report(enumerate_classes(SpaceType(ctx, low), (low[0], p * low[0])))
@@ -382,7 +383,7 @@ def test_thm11_demo_carried_rows_match_a_count_from_scratch(p, low_parts):
     # generator; a count from nothing must agree on every low part walked,
     # those whose generators repeat among them; bit 0 is the empty word
     ctx = PrimeContext(p)
-    walked = list(cli._gcd_failing_low_parts(p, 40))
+    walked = list(psimod._gcd_failing_low_parts(p, 40))
     degrees = dict(walked)
     assert len(walked) == len(degrees) == low_parts
     if p == 3:
@@ -566,13 +567,13 @@ def test_reproduce_lemma34_summary():
 def test_reproduce_lemma34_lists_each_violation(monkeypatch):
     # two entries of one run are raised to the bound m * t, so the target
     # must list both grid points and exit 1
-    def raised(ctx, m, t, prefix):
-        sums = psimod.main_lemma_sums(ctx, m, t, prefix)
+    def raised(ctx, m, t, prefix, _real=psimod._main_lemma_run):
+        sums = _real(ctx, m, t, prefix)
         if (ctx.p, m, t) == (5, 3, 2):
             sums[1] = sums[4] = m * t
         return sums
 
-    monkeypatch.setattr(cli, "main_lemma_sums", raised)
+    monkeypatch.setattr(psimod, "_main_lemma_run", raised)
     res = run("reproduce", "lemma3.4")
     assert res.exit_code == 1
     doc = json.loads(res.output)
@@ -630,7 +631,7 @@ def test_reproduce_adem_reports_a_relation_that_fails(monkeypatch):
     def broken(k):
         raise RelationShapeError(f"broken at k = {k}")
 
-    monkeypatch.setattr(cli, "verify_relation_42", broken)
+    monkeypatch.setattr(steenrod, "verify_relation_42", broken)
     res = run("reproduce", "adem")
     assert res.exit_code == 1
     doc = json.loads(res.output)
@@ -639,6 +640,18 @@ def test_reproduce_adem_reports_a_relation_that_fails(monkeypatch):
     assert checks["R42 family, k <= 50"] == {
         "check": "R42 family, k <= 50", "passed": False, "detail": "broken at k = 1"}
     assert [name for name, check in checks.items() if not check["passed"]] == ["R42 family, k <= 50"]
+
+
+@pytest.mark.parametrize("name", ["verify_relation_42", "verify_relation_43"])
+def test_reproduce_adem_raises_an_error_that_is_no_relation_failure(name, monkeypatch):
+    # only a RelationShapeError is a relation that failed to verify; any
+    # other error in the sweep is a bug, and is raised, not reported as exit 1
+    def broken(n):
+        raise TypeError(f"a bug at {n}")
+
+    monkeypatch.setattr(steenrod, name, broken)
+    with pytest.raises(TypeError, match="a bug at"):
+        main(["reproduce", "adem"], standalone_mode=False)
 
 
 def test_reproduce_other_targets():

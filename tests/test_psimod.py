@@ -22,8 +22,8 @@ from apsieve.psimod import (
     DP_WORK_LIMIT,
     check_dp_work,
     class_sums,
+    lemma_3_4_grid,
     low_degree_gcd,
-    main_lemma_prefix,
     monomial_degree_multiplicities,
 )
 
@@ -197,16 +197,22 @@ def test_main_lemma_sums_match_the_per_point_sums():
                 assert main_lemma_sums(ctx, m, t) == expected, (p, m, t)
 
 
-def test_main_lemma_sums_read_a_longer_runs_prefix():
-    # reproduce lemma3.4 builds one prefix per (p, m), for t = 4, and reads
-    # the shorter runs from it
-    for p in (3, 5, 7):
-        ctx = PrimeContext(p)
-        for m in range(1, 13):
-            prefix = main_lemma_prefix(ctx, m, 4 * (p - 1))
-            assert len(prefix) == 4 * (p - 1) + 1
-            for t in range(1, 5):
-                assert main_lemma_sums(ctx, m, t, prefix) == main_lemma_sums(ctx, m, t), (p, m, t)
+def test_lemma_3_4_grid_equals_the_per_run_sums(monkeypatch):
+    # the grid reads the runs t = 1..4 of one (p, m) from one prefix, the
+    # longest run's; each run must equal main_lemma_sums, which builds its own
+    runs = {}
+
+    def recording(ctx, m, t, prefix, _real=psimod._main_lemma_run):
+        runs[ctx.p, m, t] = _real(ctx, m, t, prefix)
+        return runs[ctx.p, m, t]
+
+    monkeypatch.setattr(psimod, "_main_lemma_run", recording)
+    assert lemma_3_4_grid() == (1860, [])
+    monkeypatch.undo()
+    assert list(runs) == [(p, m, t) for p in (3, 5) for m in range(1, 31) if (p - 1) % m
+                          for t in range(1, 5)]
+    for (p, m, t), sums in runs.items():
+        assert sums == main_lemma_sums(PrimeContext(p), m, t), (p, m, t)
 
 
 def test_main_lemma_sums_validation(ctx3):
